@@ -117,6 +117,29 @@ if (( req2 <= req1 )); then
 fi
 echo "serve_smoke: metrics scrape OK (requests $req1 -> $req2)"
 
+# ---- a repeated solve skips the rebuild and the worker hop --------------
+# The daemon memoizes built problems by their exact spec bytes and the
+# engine answers a cached solve at submit: repeating the first solve must
+# move both counters, and the answer must not change.
+"$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
+  --deadline 14 > "$tmp_dir/solve_again.out"
+cmp "$tmp_dir/solve.out" "$tmp_dir/solve_again.out"
+"$build_dir/easched_cli" remote "127.0.0.1:$port" stat --deep \
+  > "$tmp_dir/scrape3.out"
+series() {
+  sed -n "s/^$2 \([0-9.eE+-]*\)\$/\1/p" "$1"
+}
+for name in easched_serve_problem_memo_hits_total \
+            'easched_jobs_sync_hits_total{kind="solve"}'; do
+  before="$(series "$tmp_dir/scrape2.out" "$name")"
+  after="$(series "$tmp_dir/scrape3.out" "$name")"
+  if [[ -z "$before" || -z "$after" ]] || (( after <= before )); then
+    echo "serve_smoke: $name missing or not increasing (${before:-?} -> ${after:-?})" >&2
+    exit 1
+  fi
+done
+echo "serve_smoke: repeat solve served from the memo and the cache"
+
 # ---- clean SIGTERM shutdown ---------------------------------------------
 kill -TERM "$daemon_pid"
 daemon_rc=0

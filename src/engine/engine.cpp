@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -156,16 +157,30 @@ api::BatchReport batch_error(const std::vector<api::BatchJob>& jobs,
 // (whose addresses are stable behind unique_ptr), so queued jobs never
 // capture the Engine itself and moving it with jobs in flight is safe.
 
-common::Result<api::SolveReport> execute_solve(frontier::SolveCache& cache,
-                                               const SolveQuery& query) {
-  if ((query.bicrit == nullptr) == (query.tricrit == nullptr)) {
+bool well_formed(const SolveQuery& query) {
+  return (query.bicrit == nullptr) != (query.tricrit == nullptr);
+}
+
+/// The request a well-formed query stands for (it borrows the problem).
+api::SolveRequest request_for(const SolveQuery& query) {
+  return query.bicrit != nullptr
+             ? api::SolveRequest(*query.bicrit, query.solver, query.options)
+             : api::SolveRequest(*query.tricrit, query.solver, query.options);
+}
+
+/// `prepared`, when set, is the query's instance already serialised by
+/// the submitter; it is interned as is instead of serialised again.
+common::Result<api::SolveReport> execute_solve(
+    frontier::SolveCache& cache, const SolveQuery& query,
+    std::optional<frontier::SolveCache::PreparedInstance> prepared = std::nullopt) {
+  if (!well_formed(query)) {
     return common::Status::invalid(
         "solve query must carry exactly one of a BI-CRIT or TRI-CRIT problem");
   }
-  if (query.bicrit != nullptr) {
-    return cache.solve(api::SolveRequest(*query.bicrit, query.solver, query.options));
-  }
-  return cache.solve(api::SolveRequest(*query.tricrit, query.solver, query.options));
+  const api::SolveRequest request = request_for(query);
+  if (!prepared) return cache.solve(request);
+  const auto context = cache.context_for(std::move(*prepared), request);
+  return cache.solve(request, frontier::SolveCache::key_for(context, request));
 }
 
 api::BatchReport execute_batch(frontier::SolveCache& cache, common::WorkerPool& pool,
@@ -457,6 +472,10 @@ common::Result<Engine> Engine::create(EngineConfig config) {
     ins->trace = engine.trace_.get();
     ins->epoch = std::chrono::steady_clock::now();
     ins->solve = kind_instruments(ins->registry, "solve");
+    if (ins->registry != nullptr) {
+      ins->solve_sync_hits =
+          ins->registry->counter("easched_jobs_sync_hits_total", {{"kind", "solve"}});
+    }
     ins->batch = kind_instruments(ins->registry, "batch");
     ins->frontier = kind_instruments(ins->registry, "frontier");
     ins->resweep = kind_instruments(ins->registry, "resweep");
@@ -539,9 +558,34 @@ JobHandle<T> Engine::enqueue(const detail::KindInstruments* ki, const SubmitOpti
 Engine::SolveHandle Engine::submit(SolveQuery query, const SubmitOptions& opts) {
   using R = common::Result<api::SolveReport>;
   frontier::SolveCache* cache = cache_.get();
+  detail::Instruments* const ins = instruments_.get();
+  std::optional<frontier::SolveCache::PreparedInstance> prepared;
+  if (well_formed(query)) {
+    const auto submitted = ins != nullptr ? std::chrono::steady_clock::now()
+                                          : std::chrono::steady_clock::time_point{};
+    const api::SolveRequest request = request_for(query);
+    prepared = frontier::SolveCache::prepare(request);
+    const std::optional<frontier::CacheKey> key = cache->find_key(*prepared, request);
+    if (frontier::SolveCache::CachedResult hit = key ? cache->try_get(*key) : nullptr) {
+      auto state = std::make_shared<detail::JobState<R>>();
+      state->id = next_job_id_->fetch_add(1, std::memory_order_relaxed);
+      if (ins != nullptr) {
+        if (ins->registry != nullptr) {
+          ins->solve.submitted->inc();
+          ins->solve_sync_hits->inc();
+        }
+        record_job(*ins, ins->solve, state->id, opts.priority,
+                   hit->is_ok() ? "ok" : outcome_label(hit->status().code()), submitted,
+                   submitted, std::chrono::steady_clock::now());
+      }
+      state->complete(*hit);
+      return SolveHandle(std::move(state));
+    }
+  }
   return enqueue<R>(
-      instruments_ ? &instruments_->solve : nullptr, opts,
-      [cache, query = std::move(query)](detail::JobState<R>& state, bool expired) -> R {
+      ins != nullptr ? &ins->solve : nullptr, opts,
+      [cache, query = std::move(query), prepared = std::move(prepared)](
+          detail::JobState<R>& state, bool expired) mutable -> R {
         if (expired) {
           return common::Status::deadline_exceeded(
               "solve job expired before it could run");
@@ -552,7 +596,7 @@ Engine::SolveHandle Engine::submit(SolveQuery query, const SubmitOptions& opts) 
               state.deadline_fired);
         }
         try {
-          return execute_solve(*cache, query);
+          return execute_solve(*cache, query, std::move(prepared));
         } catch (const std::exception& e) {
           return common::Status::internal(std::string("solve job threw: ") + e.what());
         } catch (...) {

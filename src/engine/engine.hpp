@@ -267,6 +267,9 @@ struct Instruments {
   /// to this steady_clock origin (wall clock never enters the formats).
   std::chrono::steady_clock::time_point epoch{};
   KindInstruments solve;
+  /// easched_jobs_sync_hits_total{kind="solve"}: solve submissions
+  /// answered from the cache on the submitting thread (null = metrics off).
+  obs::Counter* solve_sync_hits = nullptr;
   KindInstruments batch;
   KindInstruments frontier;
   KindInstruments resweep;
@@ -448,6 +451,13 @@ class Engine {
 
   // ---- asynchronous surface ----
 
+  /// A solve whose answer is already cached completes on the calling
+  /// thread: the instance is serialised and digested once here and the
+  /// cache probed without interning anything. The returned handle is
+  /// then done() at once — the job is counted (zero queue wait) but never
+  /// queued, so max_queued_jobs never sheds it and its deadline cannot
+  /// expire. On a miss the job carries the serialised instance to the
+  /// worker, which interns it without serialising again.
   SolveHandle submit(SolveQuery query, const SubmitOptions& opts = {});
   BatchHandle submit(BatchQuery query, const SubmitOptions& opts = {});
   FrontierHandle submit(FrontierQuery query, const SubmitOptions& opts = {});

@@ -76,11 +76,11 @@ std::string canonical_fingerprint(const api::SolveRequest& request) {
   return out;
 }
 
-std::uint64_t InstanceInterner::intern(const api::InstanceDigest& digest,
-                                       std::string bytes) {
-  common::MutexLock lock(mutex_);
-  auto& bucket = by_digest_[digest.lo];
-  for (std::uint64_t id : bucket) {
+std::uint64_t InstanceInterner::find_locked(const api::InstanceDigest& digest,
+                                            const std::string& bytes) const {
+  auto bucket = by_digest_.find(digest.lo);
+  if (bucket == by_digest_.end()) return 0;
+  for (std::uint64_t id : bucket->second) {
     // Exact-equality fallback: the digest narrows the candidates, the
     // byte comparison decides. A digest collision between different
     // instances lands two blobs in one bucket with distinct ids.
@@ -89,14 +89,27 @@ std::uint64_t InstanceInterner::intern(const api::InstanceDigest& digest,
       return id;
     }
   }
+  return 0;
+}
+
+std::uint64_t InstanceInterner::intern(const api::InstanceDigest& digest,
+                                       std::string bytes) {
+  common::MutexLock lock(mutex_);
+  if (const std::uint64_t id = find_locked(digest, bytes); id != 0) return id;
   // Mint the id with the current epoch in the top bits: epoch + sequence
   // together are unique across the interner's whole life, which is what
   // makes stale contexts miss instead of alias (see the class comment).
   const std::uint64_t id = (epoch_ << kSeqBits) | next_seq_++;
   by_id_.emplace(id, Blob{digest, std::make_shared<const std::string>(std::move(bytes)),
                           /*refs=*/0});
-  bucket.push_back(id);
+  by_digest_[digest.lo].push_back(id);
   return id;
+}
+
+std::uint64_t InstanceInterner::find_id(const api::InstanceDigest& digest,
+                                        const std::string& bytes) const {
+  common::MutexLock lock(mutex_);
+  return find_locked(digest, bytes);
 }
 
 std::size_t InstanceInterner::size() const {
@@ -207,12 +220,7 @@ common::Status SolveCache::attach_store(store::SolveStore* store) {
     if (fresh_instance) instance_it->second = instances_.intern(digest, bytes);
     const std::uint64_t instance = instance_it->second;
     auto [solver_it, fresh_solver] = solver_memo.emplace(solver, 0);
-    if (fresh_solver) {
-      common::MutexLock lock(solver_mutex_);
-      auto [it, inserted] = solver_ids_.emplace(solver, solver_ids_.size() + 1);
-      if (inserted) solver_names_.push_back(solver);
-      solver_it->second = it->second;
-    }
+    if (fresh_solver) solver_it->second = intern_solver(solver);
     const std::uint64_t solver_id = solver_it->second;
     const CacheKey key = key_from_point(instance, solver_id, point);
     Shard& shard = shards_[key.hash & mask_];
@@ -227,19 +235,44 @@ common::Status SolveCache::attach_store(store::SolveStore* store) {
   return common::Status::ok();
 }
 
+SolveCache::PreparedInstance SolveCache::prepare(const api::SolveRequest& request) {
+  PreparedInstance prepared;
+  prepared.bytes = api::instance_bytes(request);
+  prepared.digest = api::digest_bytes(prepared.bytes);
+  return prepared;
+}
+
 SolveCache::InstanceContext SolveCache::context_for(const api::SolveRequest& request) {
-  std::string bytes = api::instance_bytes(request);
-  const api::InstanceDigest digest = api::digest_bytes(bytes);
+  return context_for(prepare(request), request);
+}
+
+SolveCache::InstanceContext SolveCache::context_for(PreparedInstance prepared,
+                                                    const api::SolveRequest& request) {
   InstanceContext context;
-  context.instance = instances_.intern(digest, std::move(bytes));
+  context.instance = instances_.intern(prepared.digest, std::move(prepared.bytes));
+  context.solver = intern_solver(request.solver);
+  return context;
+}
+
+std::optional<CacheKey> SolveCache::find_key(const PreparedInstance& prepared,
+                                             const api::SolveRequest& request) const {
+  InstanceContext context;
+  context.instance = instances_.find_id(prepared.digest, prepared.bytes);
+  if (context.instance == 0) return std::nullopt;
   {
     common::MutexLock lock(solver_mutex_);
-    auto [it, inserted] =
-        solver_ids_.emplace(request.solver, solver_ids_.size() + 1);
-    if (inserted) solver_names_.push_back(request.solver);
+    auto it = solver_ids_.find(request.solver);
+    if (it == solver_ids_.end()) return std::nullopt;
     context.solver = it->second;
   }
-  return context;
+  return key_for(context, request);
+}
+
+std::uint64_t SolveCache::intern_solver(const std::string& name) {
+  common::MutexLock lock(solver_mutex_);
+  auto [it, inserted] = solver_ids_.emplace(name, solver_ids_.size() + 1);
+  if (inserted) solver_names_.push_back(name);
+  return it->second;
 }
 
 std::string SolveCache::solver_name_for(std::uint64_t id) const {

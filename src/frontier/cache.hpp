@@ -144,6 +144,10 @@ class InstanceInterner {
   }
 
   std::uint64_t intern(const api::InstanceDigest& digest, std::string bytes);
+  /// The id intern() would return for these bytes if they are already
+  /// interned, 0 otherwise. Mints nothing, so a lookup that misses leaves
+  /// no blob behind.
+  std::uint64_t find_id(const api::InstanceDigest& digest, const std::string& bytes) const;
   std::size_t size() const;  ///< live (non-reclaimed) blobs
   std::uint64_t epoch() const;  ///< current generation (starts at 0)
   /// True while `id` resolves to a live blob: from the current epoch and
@@ -176,6 +180,10 @@ class InstanceInterner {
     std::shared_ptr<const std::string> bytes;
     std::size_t refs = 0;
   };
+
+  /// find_id's lookup, with the mutex already held.
+  std::uint64_t find_locked(const api::InstanceDigest& digest,
+                            const std::string& bytes) const EASCHED_REQUIRES(mutex_);
 
   mutable common::Mutex mutex_;
   std::unordered_map<std::uint64_t, Blob> by_id_ EASCHED_GUARDED_BY(mutex_);
@@ -255,9 +263,28 @@ class SolveCache {
     return store_.load(std::memory_order_acquire);
   }
 
+  /// An instance serialised (api::instance_bytes) and digested once, so
+  /// a submitter can probe the cache with it (find_key) and hand the same
+  /// bytes to the job that interns them on a miss (context_for).
+  struct PreparedInstance {
+    std::string bytes;
+    api::InstanceDigest digest;
+  };
+  static PreparedInstance prepare(const api::SolveRequest& request);
+
   /// Interns the instance bytes and the solver name of `request` —
   /// O(instance size), once per sweep, never per probe.
   InstanceContext context_for(const api::SolveRequest& request);
+  /// Same, with the instance already prepared from `request`.
+  InstanceContext context_for(PreparedInstance prepared, const api::SolveRequest& request);
+
+  /// Lookup-only keying: the key context_for + key_for would give
+  /// `request`, provided its instance and solver name are both interned
+  /// already; nullopt otherwise (then no entry can exist for it). Mints
+  /// no interner ids, so probing with a request that is later shed,
+  /// cancelled or expired leaves no unreferenced blob behind.
+  std::optional<CacheKey> find_key(const PreparedInstance& prepared,
+                                   const api::SolveRequest& request) const;
 
   /// Builds the POD key for one probe from an interned context — O(1) in
   /// the instance size. The hash is computed here, once.
@@ -380,6 +407,8 @@ class SolveCache {
   void spill_now(Shard& shard, const std::vector<Spill>& spills);
   /// Reverse of the solver-name interning (empty string for unknown ids).
   std::string solver_name_for(std::uint64_t id) const;
+  /// The solver name's id, minted on first sight.
+  std::uint64_t intern_solver(const std::string& name);
 
   std::size_t mask_ = 0;  ///< shard count - 1 (power of two)
   std::size_t capacity_ = 0;

@@ -2,6 +2,7 @@
 
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -78,6 +79,14 @@ common::Result<Client> Client::connect(const std::string& host, int port,
   if (rc < 0) {
     ::close(fd);
     return errno_status("connect " + host + ":" + port_str);
+  }
+  // Requests are small and latency-bound; Nagle would hold a pipelined
+  // request back until the daemon acknowledged the previous one.
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    const common::Status status = errno_status("setsockopt(TCP_NODELAY)");
+    ::close(fd);
+    return status;
   }
 
   Client client;

@@ -46,6 +46,11 @@ constexpr std::uint16_t kProtocolVersion = 1;
 /// stream is garbage (or hostile) — the connection closes, because the
 /// claimed boundary cannot be trusted for resynchronisation.
 constexpr std::uint64_t kMaxFrameBytes = 8ull << 20;
+/// Upper bound on ProblemSpec::processors. Building a problem allocates
+/// one order vector per processor and list-schedules every task over all
+/// of them, so the daemon rejects larger values (kInvalidArgument) before
+/// allocating anything.
+constexpr std::int32_t kMaxProcessors = 1 << 16;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,          ///< client -> server: magic, version, tenant
@@ -131,7 +136,7 @@ struct HelloAck {
 /// critical-path list scheduler, matching the CLI's local behaviour.
 struct ProblemSpec {
   std::string dag_text;  ///< graph/io.hpp text format
-  std::int32_t processors = 2;
+  std::int32_t processors = 2;  ///< 1..kMaxProcessors
   model::SpeedModelKind speed_kind = model::SpeedModelKind::kContinuous;
   double fmin = 0.2;
   double fmax = 1.0;

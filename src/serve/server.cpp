@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -21,11 +22,8 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "graph/io.hpp"
-#include "model/reliability.hpp"
-#include "model/speed_model.hpp"
 #include "obs/metrics.hpp"
-#include "sched/list_scheduler.hpp"
+#include "serve/problem.hpp"
 #include "serve/protocol.hpp"
 
 namespace easched::serve {
@@ -37,10 +35,14 @@ namespace {
 struct Wake {
   common::Mutex mutex;
   int fd EASCHED_GUARDED_BY(mutex) = -1;
+  /// The poll loop's own thread. A completion delivered on it (a cache
+  /// hit answered inside submit) needs no wakeup: the loop adopts the
+  /// connection's ready frames right after processing its input.
+  std::thread::id loop_thread EASCHED_GUARDED_BY(mutex);
 
   void poke() EASCHED_EXCLUDES(mutex) {
     common::MutexLock lock(mutex);
-    if (fd < 0) return;
+    if (fd < 0 || std::this_thread::get_id() == loop_thread) return;
     const char byte = 1;
     // A full pipe already guarantees a pending wakeup; the byte's loss is
     // harmless, so the result is deliberately ignored.
@@ -134,58 +136,14 @@ common::Status set_nonblocking(int fd) {
   return common::Status::ok();
 }
 
-/// A request's problem, rebuilt server-side. Exactly one pointer is set.
-struct BuiltProblem {
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
-};
-
-/// Rebuilds the problem a ProblemSpec describes, with the mapping
-/// recomputed by the same critical-path list scheduler the CLI uses.
-/// `deadline` overrides the spec's (deadline sweeps anchor the problem at
-/// the axis maximum, mirroring the CLI). Model constructors treat bad
-/// parameters as precondition violations (logic_error); at this trust
-/// boundary the peer's bytes are data, not preconditions, so those throws
-/// degrade into kInvalidArgument responses.
-common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadline) {
-  auto dag = graph::from_text(spec.dag_text);
-  if (!dag.is_ok()) return dag.status();
-  if (spec.processors < 1) {
-    return common::Status::invalid("ProblemSpec: processors must be >= 1");
+/// Responses are small and latency-bound: without TCP_NODELAY, Nagle
+/// holds a response back until the peer acknowledges the previous one.
+common::Status set_nodelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0) {
+    return errno_status("setsockopt(TCP_NODELAY)");
   }
-  if (!(deadline > 0.0)) {
-    return common::Status::invalid("ProblemSpec: deadline must be > 0");
-  }
-  try {
-    model::SpeedModel speeds = [&] {
-      switch (spec.speed_kind) {
-        case model::SpeedModelKind::kDiscrete:
-          return model::SpeedModel::discrete(spec.levels);
-        case model::SpeedModelKind::kVddHopping:
-          return model::SpeedModel::vdd_hopping(spec.levels);
-        case model::SpeedModelKind::kIncremental:
-          return model::SpeedModel::incremental(spec.fmin, spec.fmax, spec.delta);
-        case model::SpeedModelKind::kContinuous:
-        default:
-          return model::SpeedModel::continuous(spec.fmin, spec.fmax);
-      }
-    }();
-    const auto mapping = sched::list_schedule(dag.value(), spec.processors,
-                                              sched::PriorityPolicy::kCriticalPath);
-    BuiltProblem built;
-    if (spec.tricrit) {
-      model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(),
-                                  spec.frel);
-      built.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, deadline);
-    } else {
-      built.bicrit = std::make_shared<const core::BiCritProblem>(std::move(dag).take(),
-                                                                 mapping, speeds, deadline);
-    }
-    return built;
-  } catch (const std::exception& e) {
-    return common::Status::invalid(std::string("ProblemSpec rejected: ") + e.what());
-  }
+  return common::Status::ok();
 }
 
 }  // namespace
@@ -205,6 +163,8 @@ struct Server::Impl {
   /// Tenant states outlive their connections (counters persist across
   /// reconnects); only the loop thread touches the map itself.
   std::map<std::string, std::shared_ptr<Tenant>> tenants;
+  /// Built SolveRequest problems by exact spec bytes; loop thread only.
+  std::unique_ptr<ProblemMemo> memo;
 
   ~Impl() { shutdown(); }
 
@@ -361,7 +321,7 @@ struct Server::Impl {
     }
     const SolveRequest& msg = decoded.value();
     count_request(conn);
-    auto built = build_problem(msg.problem, msg.problem.deadline);
+    auto built = memo->get(msg.problem);
     if (!built.is_ok()) {
       SolveResponse resp;
       resp.request_id = msg.request_id;
@@ -384,9 +344,11 @@ struct Server::Impl {
             : engine::SolveQuery(built.value().tricrit, msg.solver, options);
     auto handle = engine->submit(std::move(query), submit_options(msg.job_deadline_ms));
 
-    // The callback runs on the worker that completes the job (or inline
-    // if it already finished). It owns copies of every shared piece, so
-    // it outlives both this connection and the Server.
+    // The callback runs on the worker that completes the job, or inline
+    // right here when the engine answered from its cache — then the
+    // response is encoded and queued without leaving the loop thread. It
+    // owns copies of every shared piece, so it outlives both this
+    // connection and the Server.
     const auto shared = conn.shared;
     const auto wk = wake;
     const auto tn = conn.tenant;
@@ -682,23 +644,36 @@ struct Server::Impl {
         ::close(fd);
         continue;
       }
+      if (!set_nodelay(fd).is_ok()) {
+        // Served with Nagle on, every response would stall on the peer's
+        // delayed ACK; refuse the connection instead.
+        ::close(fd);
+        continue;
+      }
       auto conn = std::make_unique<Conn>();
       conn->fd = fd;
       conns.push_back(std::move(conn));
     }
   }
 
+  /// Moves completed responses into the connection's outbox.
+  static void adopt_ready(Conn& conn) {
+    std::vector<std::string> ready;
+    {
+      common::MutexLock lock(conn.shared->mutex);
+      ready.swap(conn.shared->ready);
+    }
+    for (auto& frame : ready) conn.outbox += frame;
+  }
+
   common::Status loop() {
+    {
+      common::MutexLock lock(wake->mutex);
+      wake->loop_thread = std::this_thread::get_id();
+    }
     while (!stopping.load(std::memory_order_relaxed)) {
       // Adopt worker-completed responses into the per-connection outboxes.
-      for (auto& conn : conns) {
-        std::vector<std::string> ready;
-        {
-          common::MutexLock lock(conn->shared->mutex);
-          ready.swap(conn->shared->ready);
-        }
-        for (auto& frame : ready) conn->outbox += frame;
-      }
+      for (auto& conn : conns) adopt_ready(*conn);
 
       std::vector<pollfd> fds;
       fds.reserve(conns.size() + 2);
@@ -737,7 +712,10 @@ struct Server::Impl {
             (revents & POLLIN) == 0) {
           alive = false;
         }
-        if (alive && (revents & POLLIN) != 0) alive = process_input(conn);
+        if (alive && (revents & POLLIN) != 0) {
+          alive = process_input(conn);
+          adopt_ready(conn);  // cache hits answered inline, unpoked
+        }
         if (alive) alive = flush_output(conn);
         if (alive && conn.close_after_flush && conn.outbox.empty()) alive = false;
         if (alive) {
@@ -813,6 +791,7 @@ common::Result<Server> Server::create(engine::Engine* engine, ServerConfig confi
   }
   impl->listen_fd = fd;
   impl->bound_port = static_cast<int>(ntohs(bound.sin_port));
+  impl->memo = std::make_unique<ProblemMemo>(engine->metrics());
 
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) < 0) return errno_status("pipe");

@@ -30,7 +30,11 @@
 // callback encodes the response on the worker thread, appends it to the
 // connection's ready queue and pokes the poll loop through a self-pipe.
 // No thread ever blocks on a job, so hundreds of in-flight jobs need
-// exactly one serving thread.
+// exactly one serving thread. A solve the engine answers from its cache
+// completes inside submit, so the same callback runs inline on the loop
+// thread, which flushes the response without a wakeup. Repeat solves
+// also skip the problem rebuild: built problems are memoized by their
+// exact spec bytes (serve/problem.hpp).
 //
 // The Server blocks in run() (the CLI's `easched_cli serve`) or runs on
 // an owned background thread via start()/stop() (tests and the load

@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,7 +297,10 @@ TEST(Engine, CancelledQueuedJobNeverRuns) {
   auto blocking = created.value().submit(
       FrontierQuery::deadline(blocker, blocker->deadline * 0.6, blocker->deadline, fopt));
 
-  auto victim = created.value().submit(SolveQuery(blocker));
+  // The victim's problem is one the blocker's sweep never touches: a
+  // solve the sweep already cached would be answered at submit, never
+  // queued, and so could not be cancelled.
+  auto victim = created.value().submit(SolveQuery(random_bicrit(52, 10, 1.6)));
   victim.cancel();
   const auto& result = victim.get();
   ASSERT_FALSE(result.is_ok());
@@ -443,7 +447,9 @@ TEST(Engine, ExpiredDeadlineFailsFast) {
 
   SubmitOptions opts;
   opts.deadline_ms = 1e-3;  // expires while queued behind the blocker
-  auto late = created.value().submit(SolveQuery(blocker), opts);
+  // Not the blocker's problem: a point its sweep already cached would be
+  // answered at submit and could never expire.
+  auto late = created.value().submit(SolveQuery(random_bicrit(82, 10, 1.6)), opts);
   const auto& result = late.get();
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kDeadlineExceeded);
@@ -540,6 +546,58 @@ TEST(Engine, StoreBackedEngineReplaysAcrossRestart) {
   std::remove(path.c_str());
 }
 
+/// Holds a one-worker engine's only worker: a deadline sweep whose first
+/// streamed point parks the worker until release() — or destruction, so
+/// a failed assertion cannot leave the engine's destructor waiting on it.
+/// Construction returns once the sweep is running, so it no longer
+/// counts as queued and an admission cap is exercised by exactly the
+/// jobs a test queues after it.
+class GatedBlocker {
+ public:
+  GatedBlocker(Engine& engine, std::uint64_t seed) : gate_(std::make_shared<Gate>()) {
+    const auto problem =
+        std::make_shared<const core::BiCritProblem>(random_bicrit(seed, 14, 1.7));
+    frontier::FrontierOptions fopt;
+    fopt.initial_points = 9;
+    fopt.max_points = 25;
+    auto query =
+        FrontierQuery::deadline(problem, problem->deadline * 0.6, problem->deadline, fopt);
+    query.observer = [gate = gate_](const frontier::FrontierPoint&) {
+      std::unique_lock<std::mutex> lock(gate->mutex);
+      if (gate->running) return;
+      gate->running = true;
+      gate->cv.notify_all();
+      gate->cv.wait(lock, [&] { return gate->released; });
+    };
+    handle_ = engine.submit(std::move(query));
+    std::unique_lock<std::mutex> lock(gate_->mutex);
+    gate_->cv.wait(lock, [&] { return gate_->running; });
+  }
+  GatedBlocker(const GatedBlocker&) = delete;
+  GatedBlocker& operator=(const GatedBlocker&) = delete;
+  ~GatedBlocker() { release(); }
+
+  /// Lets the sweep finish and waits for it.
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(gate_->mutex);
+      gate_->released = true;
+    }
+    gate_->cv.notify_all();
+    handle_.wait();
+  }
+
+ private:
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool running = false;
+    bool released = false;
+  };
+  std::shared_ptr<Gate> gate_;
+  Engine::FrontierHandle handle_;
+};
+
 TEST(Engine, MaxQueuedJobsShedsWithOverloaded) {
   EngineConfig config;
   config.threads = 1;
@@ -548,49 +606,102 @@ TEST(Engine, MaxQueuedJobsShedsWithOverloaded) {
   ASSERT_TRUE(created.is_ok());
   Engine& engine = created.value();
 
-  // Gate the blocker on its first streamed point: once the gate reports,
-  // the blocker is *running* (not queued), so the admission cap below is
-  // exercised by exactly the jobs this test queues.
-  const auto blocker =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(91, 14, 1.7));
-  frontier::FrontierOptions fopt;
-  fopt.initial_points = 9;
-  fopt.max_points = 25;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool running = false;
-  bool release = false;
-  auto query =
-      FrontierQuery::deadline(blocker, blocker->deadline * 0.6, blocker->deadline, fopt);
-  query.observer = [&](const frontier::FrontierPoint&) {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    if (!running) {
-      running = true;
-      gate_cv.notify_all();
-      gate_cv.wait(lock, [&] { return release; });
-    }
-  };
-  auto blocking = engine.submit(std::move(query));
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return running; });
-  }
+  GatedBlocker blocker(engine, 91);
 
-  auto queued = engine.submit(SolveQuery(blocker));  // fills the 1-job queue
+  // Problems the blocker's sweep never touched: a solve it already cached
+  // is answered at submit and is neither queued nor shed.
+  auto queued = engine.submit(SolveQuery(random_bicrit(93, 10, 1.6)));  // fills the queue
   EXPECT_EQ(engine.queued_jobs(), 1u);
-  auto shed = engine.submit(SolveQuery(blocker));  // over the cap: shed, not queued
+  // Over the cap: shed, not queued.
+  auto shed = engine.submit(SolveQuery(random_bicrit(94, 10, 1.6)));
   EXPECT_TRUE(shed.done());  // completed synchronously, never enqueued
   const auto& shed_result = shed.get();
   ASSERT_FALSE(shed_result.is_ok());
   EXPECT_EQ(shed_result.status().code(), common::StatusCode::kOverloaded);
 
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release = true;
-  }
-  gate_cv.notify_all();
-  blocking.wait();
+  blocker.release();
   EXPECT_TRUE(queued.get().is_ok());  // the admitted job still ran normally
+}
+
+bool same_report(const api::SolveReport& a, const api::SolveReport& b,
+                 const graph::Dag& dag) {
+  return a.energy == b.energy && a.makespan == b.makespan && a.solver == b.solver &&
+         a.wall_ms == b.wall_ms && a.iterations == b.iterations && a.exact == b.exact &&
+         a.re_executed == b.re_executed && a.gap_bound == b.gap_bound &&
+         a.schedule.durations(dag) == b.schedule.durations(dag);
+}
+
+TEST(Engine, CachedSolveCompletesAtSubmitAndIsNeverShed) {
+  EngineConfig config;
+  config.threads = 1;
+  config.max_queued_jobs = 1;
+  auto created = Engine::create(config);
+  ASSERT_TRUE(created.is_ok());
+  Engine& engine = created.value();
+
+  // Prime through the queued path.
+  const auto problem =
+      std::make_shared<const core::BiCritProblem>(random_bicrit(95, 12, 1.6));
+  const auto primed = engine.submit(SolveQuery(problem)).get();
+  ASSERT_TRUE(primed.is_ok()) << primed.status().to_string();
+
+  // Hold the only worker, then fill the one queue slot.
+  GatedBlocker blocker(engine, 96);
+  auto queued = engine.submit(SolveQuery(random_bicrit(97, 10, 1.6)));
+  ASSERT_EQ(engine.queued_jobs(), 1u);
+
+  // The queue is full, yet the cached solve is answered at submit: done
+  // at once, never queued, never shed, equal to the queued answer.
+  const std::size_t hits_before = engine.cache_stats().hits;
+  SubmitOptions opts;
+  opts.deadline_ms = 1e-6;  // a hit never waits, so it cannot expire
+  auto hit = engine.submit(SolveQuery(problem), opts);
+  EXPECT_TRUE(hit.done());
+  EXPECT_EQ(engine.queued_jobs(), 1u);
+  const auto& result = hit.get();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_TRUE(same_report(result.value(), primed.value(), problem->dag));
+  EXPECT_EQ(engine.cache_stats().hits, hits_before + 1);
+
+  // An uncached solve at the full queue is still shed.
+  auto shed = engine.submit(SolveQuery(random_bicrit(98, 10, 1.6)));
+  EXPECT_TRUE(shed.done());
+  EXPECT_EQ(shed.get().status().code(), common::StatusCode::kOverloaded);
+
+  blocker.release();
+  EXPECT_TRUE(queued.get().is_ok());
+
+  std::ostringstream os;
+  engine.write_metrics_text(os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("easched_jobs_sync_hits_total{kind=\"solve\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("easched_jobs_shed_total{kind=\"solve\"} 1\n"), std::string::npos);
+  // primed + hit + queued + shed submissions; the hit completed ok.
+  EXPECT_NE(text.find("easched_jobs_submitted_total{kind=\"solve\"} 4\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("easched_jobs_completed_total{kind=\"solve\",outcome=\"ok\"} 3\n"),
+            std::string::npos);
+}
+
+TEST(Engine, MissedProbeInternsNothing) {
+  EngineConfig config;
+  config.threads = 1;
+  config.max_queued_jobs = 1;
+  auto created = Engine::create(config);
+  ASSERT_TRUE(created.is_ok());
+  Engine& engine = created.value();
+  GatedBlocker blocker(engine, 99);
+  const std::size_t blobs = engine.cache_stats().interned_blobs;
+  auto cancelled = engine.submit(SolveQuery(random_bicrit(100, 10, 1.6)));
+  cancelled.cancel();
+  auto shed = engine.submit(SolveQuery(random_bicrit(101, 10, 1.6)));
+  EXPECT_EQ(shed.get().status().code(), common::StatusCode::kOverloaded);
+  blocker.release();
+  EXPECT_EQ(cancelled.get().status().code(), common::StatusCode::kCancelled);
+  // Neither the shed nor the cancelled solve left a blob behind.
+  EXPECT_EQ(engine.cache_stats().interned_blobs, blobs);
 }
 
 TEST(Engine, OnCompleteFiresOnceInlineOrAsync) {

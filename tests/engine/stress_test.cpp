@@ -14,11 +14,15 @@
 //     toggled against clear() (epoch bumps) and live solve() traffic.
 //   * CancelRacesCompletion — JobHandle::cancel() fired while the job is
 //     completing; every get() returns a coherent terminal state.
+//   * SyncHitsRaceClearAndEviction — solves answered at submit from the
+//     cache, racing clear() (epoch bumps) and a 4-entry LRU's evictions;
+//     every answer still equals a direct api::solve bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -221,6 +225,60 @@ TEST(EngineStress, AttachStoreRacesClearAndSolve) {
   auto result = cache.solve(api::SolveRequest(p0));
   ASSERT_TRUE(result.is_ok());
   std::remove(store_path.c_str());
+}
+
+TEST(EngineStress, SyncHitsRaceClearAndEviction) {
+  EngineConfig cfg;
+  cfg.threads = 2;
+  cfg.cache_max_entries = 4;  // fewer entries than problems: constant eviction
+  auto engine = Engine::create(cfg);
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  Engine& eng = engine.value();
+
+  std::vector<std::shared_ptr<const core::BiCritProblem>> problems;
+  std::vector<api::SolveReport> refs;
+  for (std::uint64_t s = 0; s < 6; ++s) {
+    problems.push_back(
+        std::make_shared<const core::BiCritProblem>(random_bicrit(500 + s, 8, 1.6)));
+    auto ref = api::solve(*problems.back());
+    ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
+    refs.push_back(std::move(ref).take());
+  }
+
+  std::atomic<bool> done{false};
+  std::thread clearer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      eng.cache().clear();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 3; ++t) {
+    submitters.emplace_back([&, t] {
+      common::Rng rng(700 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 40; ++i) {
+        // Mostly the two hottest problems, so many submits hit.
+        const std::size_t k = rng.next_double() < 0.7 ? static_cast<std::size_t>(i % 2)
+                                                  : 2 + static_cast<std::size_t>(i % 4);
+        auto job = eng.submit(SolveQuery(problems[k]));
+        const auto& result = job.get();
+        ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+        const api::SolveReport& got = result.value();
+        EXPECT_EQ(got.energy, refs[k].energy);
+        EXPECT_EQ(got.makespan, refs[k].makespan);
+        EXPECT_EQ(got.solver, refs[k].solver);
+        EXPECT_EQ(got.schedule.durations(problems[k]->dag),
+                  refs[k].schedule.durations(problems[k]->dag));
+      }
+    });
+  }
+  for (auto& th : submitters) th.join();
+  done.store(true, std::memory_order_relaxed);
+  clearer.join();
+
+  // Quiesced: a repeat solve is answered at submit.
+  ASSERT_TRUE(eng.submit(SolveQuery(problems[0])).get().is_ok());
+  EXPECT_TRUE(eng.submit(SolveQuery(problems[0])).done());
 }
 
 TEST(EngineStress, CancelRacesCompletion) {

@@ -8,6 +8,9 @@
 //   * a version-mismatch Hello is refused in the handshake;
 //   * a CRC-corrupt frame costs one ErrorResponse, not the connection;
 //   * a request sent before the handshake closes the connection.
+//   * a repeated solve is served from the problem memo and the engine's
+//     cache without a worker hop, still bit-equal to the local api;
+//   * an out-of-range processor count is refused before any allocation.
 // The whole file must run clean under check.sh --tsan: responses are
 // encoded on engine worker threads while the poll loop owns the sockets.
 
@@ -20,7 +23,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,6 +37,7 @@
 #include "graph/io.hpp"
 #include "sched/list_scheduler.hpp"
 #include "serve/client.hpp"
+#include "serve/problem.hpp"
 #include "serve/protocol.hpp"
 
 namespace easched::serve {
@@ -182,6 +188,104 @@ TEST(Serve, RemoteSolveMatchesLocalApi) {
   ASSERT_TRUE(bad_response.is_ok()) << bad_response.status().to_string();
   EXPECT_EQ(bad_response.value().status.code(), common::StatusCode::kInvalidArgument);
 
+  daemon.server->stop();
+}
+
+/// The value of one unlabelled or labelled series line in a text scrape
+/// (-1 when absent).
+double scraped(const std::string& body, const std::string& series) {
+  const std::string prefix = series + " ";
+  std::size_t at = body.rfind("\n" + prefix);
+  if (at == std::string::npos) {
+    if (body.rfind(prefix, 0) != 0) return -1.0;
+    at = 0;
+  } else {
+    ++at;
+  }
+  return std::stod(body.substr(at + prefix.size()));
+}
+
+TEST(Serve, RepeatSolveIsServedFromMemoAndCache) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(28, 10, 1.6);
+  const auto local = api::solve(problem.local);
+  ASSERT_TRUE(local.is_ok());
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  std::vector<SolveResponse> answers;
+  for (int i = 0; i < 2; ++i) {
+    SolveRequest request;
+    request.problem = problem.spec;
+    auto response = client.value().solve(std::move(request));
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    ASSERT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+    answers.push_back(response.value());
+  }
+  for (const auto& answer : answers) {
+    EXPECT_EQ(answer.energy, local.value().energy);
+    EXPECT_EQ(answer.makespan, local.value().makespan);
+    EXPECT_EQ(answer.solver, local.value().solver);
+    EXPECT_EQ(answer.iterations, local.value().iterations);
+    EXPECT_EQ(answer.exact, local.value().exact);
+  }
+  // The repeat is the stored report itself, solver wall time included.
+  EXPECT_EQ(answers[1].wall_ms, answers[0].wall_ms);
+
+  auto scrape = client.value().metrics(MetricsFormat::kText);
+  ASSERT_TRUE(scrape.is_ok()) << scrape.status().to_string();
+  const std::string& body = scrape.value().body;
+  EXPECT_EQ(scraped(body, "easched_serve_problem_memo_misses_total"), 1.0) << body;
+  EXPECT_EQ(scraped(body, "easched_serve_problem_memo_hits_total"), 1.0);
+  EXPECT_EQ(scraped(body, "easched_serve_problem_memo_evictions_total"), 0.0);
+  EXPECT_GT(scraped(body, "easched_serve_problem_memo_bytes"), 0.0);
+  EXPECT_LE(scraped(body, "easched_serve_problem_memo_bytes"),
+            static_cast<double>(ProblemMemo::kBudgetBytes));
+  EXPECT_EQ(scraped(body, "easched_jobs_sync_hits_total{kind=\"solve\"}"), 1.0);
+
+  // Another tenant reuses the built problem but not the answer: its
+  // cache namespace is its own, so its first solve is a fresh miss.
+  auto other = Client::connect("127.0.0.1", daemon.server->port(), "tenant-b");
+  ASSERT_TRUE(other.is_ok()) << other.status().to_string();
+  SolveRequest request;
+  request.problem = problem.spec;
+  auto response = other.value().solve(std::move(request));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_EQ(response.value().energy, local.value().energy);
+  auto again = other.value().metrics(MetricsFormat::kText);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(scraped(again.value().body, "easched_serve_problem_memo_hits_total"), 2.0);
+  EXPECT_EQ(scraped(again.value().body, "easched_jobs_sync_hits_total{kind=\"solve\"}"),
+            1.0);
+  EXPECT_EQ(daemon.engine->cache_stats().misses, 2u);
+
+  daemon.server->stop();
+}
+
+TEST(Serve, ProcessorCountAboveBoundIsRejected) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(29, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  // Rejected before anything is allocated for the processors.
+  for (const std::int32_t processors : {std::numeric_limits<std::int32_t>::max(),
+                                        kMaxProcessors + 1, 0}) {
+    SolveRequest bad;
+    bad.problem = problem.spec;
+    bad.problem.processors = processors;
+    auto response = client.value().solve(std::move(bad));
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
+        << processors;
+  }
+
+  // The daemon still answers on the same connection.
+  SolveRequest good;
+  good.problem = problem.spec;
+  auto response = client.value().solve(std::move(good));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
   daemon.server->stop();
 }
 
