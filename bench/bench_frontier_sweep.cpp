@@ -4,7 +4,7 @@
 //
 //  * perturbed-instance resweep: one task weight changes, the cold sweep
 //    of the perturbed instance is the first traffic that pays for the new
-//    solves, and FrontierEngine::resweep then refreshes the curve from
+//    solves, and Engine::resweep then refreshes the curve from
 //    the stale one at cache speed — bit-identical to the cold sweep (the
 //    replay runs the very same adaptive algorithm) and >= 5x faster (the
 //    acceptance bar; in practice orders of magnitude once the cache has
@@ -21,13 +21,13 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "engine/engine.hpp"
 #include "frontier/analytics.hpp"
-#include "frontier/compare.hpp"
-#include "frontier/frontier.hpp"
 #include "sched/list_scheduler.hpp"
 
 namespace {
@@ -54,7 +54,8 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-core::BiCritProblem chain_problem(int tasks, const model::SpeedModel& speeds) {
+std::shared_ptr<const core::BiCritProblem> chain_problem(int tasks,
+                                                        const model::SpeedModel& speeds) {
   graph::Dag dag;
   for (int i = 0; i < tasks; ++i) {
     dag.add_task(1.0 + 0.1 * static_cast<double>(i % 7));
@@ -62,7 +63,8 @@ core::BiCritProblem chain_problem(int tasks, const model::SpeedModel& speeds) {
   }
   const auto mapping = sched::list_schedule(dag, 1, sched::PriorityPolicy::kCriticalPath);
   const double base = bench::fmax_makespan(dag, mapping, speeds.fmax());
-  return core::BiCritProblem(std::move(dag), mapping, speeds, base * 4.0);
+  return std::make_shared<const core::BiCritProblem>(std::move(dag), mapping, speeds,
+                                                     base * 4.0);
 }
 
 }  // namespace
@@ -79,29 +81,40 @@ int main(int argc, char** argv) {
                                            /*instances_per_family=*/2);
   const auto speeds = model::SpeedModel::continuous(0.05, 1.0);
 
-  frontier::SolveCache cache;
-  frontier::FrontierEngine engine(&cache);
+  auto created = engine::Engine::create();
+  if (!created.is_ok()) {
+    std::cerr << "cannot create engine: " << created.status().to_string() << "\n";
+    return 1;
+  }
+  engine::Engine& eng = created.value();
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 25;
 
+  // Every sweep spans [D/4, D] of its problem's anchor deadline D.
+  const auto sweep_query = [&](std::shared_ptr<const core::BiCritProblem> problem,
+                               const frontier::FrontierOptions& options) {
+    const double deadline = problem->deadline;
+    return engine::FrontierQuery::deadline(std::move(problem), deadline * 0.25, deadline,
+                                           options);
+  };
+
   struct Sweep {
     std::string family;
-    core::BiCritProblem problem;
+    std::shared_ptr<const core::BiCritProblem> problem;
     frontier::FrontierResult cold;
   };
   std::vector<Sweep> sweeps;
   for (const auto& inst : corpus) {
     const double base = bench::fmax_makespan(inst.dag, inst.mapping, speeds.fmax());
-    sweeps.push_back(
-        {inst.name, core::BiCritProblem(inst.dag, inst.mapping, speeds, base * 4.0), {}});
+    sweeps.push_back({inst.name,
+                      std::make_shared<const core::BiCritProblem>(inst.dag, inst.mapping,
+                                                                  speeds, base * 4.0),
+                      {}});
   }
 
   bench::Stopwatch cold_sw;
-  for (auto& s : sweeps) {
-    s.cold = engine.deadline_sweep(s.problem, s.problem.deadline * 0.25,
-                                   s.problem.deadline, fopt);
-  }
+  for (auto& s : sweeps) s.cold = eng.sweep(sweep_query(s.problem, fopt));
   const double cold_ms = cold_sw.ms();
 
   bench::Stopwatch warm_sw;
@@ -110,8 +123,7 @@ int main(int argc, char** argv) {
                        "warm_ms", "warm_hits"});
   for (auto& s : sweeps) {
     bench::Stopwatch sw;
-    const auto warm = engine.deadline_sweep(s.problem, s.problem.deadline * 0.25,
-                                            s.problem.deadline, fopt);
+    const auto warm = eng.sweep(sweep_query(s.problem, fopt));
     const double warm_point_ms = sw.ms();
     if (!identical_curves(s.cold, warm)) ++mismatches;
     table.add_row({s.family,
@@ -125,7 +137,7 @@ int main(int argc, char** argv) {
   const double warm_ms = warm_sw.ms();
   table.print(std::cout);
 
-  const auto stats = cache.stats();
+  const auto stats = eng.cache_stats();
   std::cout << "\ncold sweep total: " << common::format_fixed(cold_ms, 1)
             << " ms, warm sweep total: " << common::format_fixed(warm_ms, 1)
             << " ms, speedup: "
@@ -150,17 +162,15 @@ int main(int argc, char** argv) {
   double resweep_total = 0.0;
   std::size_t resweep_mismatches = 0;
   for (auto& s : sweeps) {
-    core::BiCritProblem perturbed = s.problem;
-    perturbed.dag.set_weight(0, perturbed.dag.weight(0) * 1.003);
+    auto perturbed = std::make_shared<core::BiCritProblem>(*s.problem);
+    perturbed->dag.set_weight(0, perturbed->dag.weight(0) * 1.003);
 
     bench::Stopwatch cold_p_sw;
-    const auto cold_p = engine.deadline_sweep(perturbed, s.problem.deadline * 0.25,
-                                              s.problem.deadline, fopt);
+    const auto cold_p = eng.sweep(sweep_query(perturbed, fopt));
     const double cold_p_ms = cold_p_sw.ms();
 
     bench::Stopwatch resweep_sw;
-    const auto warm_p = engine.resweep(s.cold, perturbed, s.problem.deadline * 0.25,
-                                       s.problem.deadline, fopt);
+    const auto warm_p = eng.resweep({s.cold, sweep_query(perturbed, fopt)});
     const double resweep_ms = resweep_sw.ms();
 
     const bool identical = identical_curves(cold_p, warm_p);
@@ -190,12 +200,10 @@ int main(int argc, char** argv) {
   // solves inside its prefetch, so its win over a cold sweep is only the
   // batching of the adaptive rounds — report it, don't gate on it.
   {
-    core::BiCritProblem perturbed2 = sweeps.front().problem;
-    perturbed2.dag.set_weight(1, perturbed2.dag.weight(1) * 1.003);
+    auto perturbed2 = std::make_shared<core::BiCritProblem>(*sweeps.front().problem);
+    perturbed2->dag.set_weight(1, perturbed2->dag.weight(1) * 1.003);
     bench::Stopwatch first_touch_sw;
-    const auto first = engine.resweep(sweeps.front().cold, perturbed2,
-                                      sweeps.front().problem.deadline * 0.25,
-                                      sweeps.front().problem.deadline, fopt);
+    const auto first = eng.resweep({sweeps.front().cold, sweep_query(perturbed2, fopt)});
     std::cout << "first-touch resweep (no prior traffic on the instance): "
               << common::format_fixed(first_touch_sw.ms(), 2) << " ms, "
               << first.prefetched << " probes solved in one parallel batch\n";
@@ -217,16 +225,15 @@ int main(int argc, char** argv) {
   lopt.max_points = 129;
   for (int tasks : {8, 32, 128, 512}) {
     const auto problem = chain_problem(tasks, speeds);
-    frontier::SolveCache lcache;
-    frontier::FrontierEngine lengine(&lcache);
-    const auto cold_l = lengine.deadline_sweep(problem, problem.deadline * 0.25,
-                                               problem.deadline, lopt);
+    auto lcreated = engine::Engine::create();  // a fresh, empty cache per size
+    if (!lcreated.is_ok()) return 1;
+    engine::Engine& leng = lcreated.value();
+    const auto cold_l = leng.sweep(sweep_query(problem, lopt));
     std::vector<double> runs;
     std::size_t evaluated = cold_l.evaluated;
     for (int rep = 0; rep < 5; ++rep) {
       bench::Stopwatch sw;
-      const auto warm_l = lengine.deadline_sweep(problem, problem.deadline * 0.25,
-                                                 problem.deadline, lopt);
+      const auto warm_l = leng.sweep(sweep_query(problem, lopt));
       runs.push_back(sw.ms());
       evaluated = warm_l.evaluated;
     }
@@ -252,10 +259,8 @@ int main(int argc, char** argv) {
   // Multi-solver comparison on one representative instance: the general
   // interior-point solver vs the chain closed form over the same deadline
   // axis (the corpus' first family is a chain, so both apply).
-  const auto& probe = sweeps.front().problem;
-  const auto comparison = frontier::compare_deadline(
-      engine, probe, {"continuous-ipm", "closed-form-chain"}, probe.deadline * 0.25,
-      probe.deadline, fopt);
+  const auto comparison = eng.compare(sweep_query(sweeps.front().problem, fopt),
+                                      {"continuous-ipm", "closed-form-chain"});
   std::cout << "\nsolver comparison on '" << sweeps.front().family << "':\n\n";
   common::Table cmp({"solver", "points", "energy_min", "auc", "hypervolume"});
   for (const auto& sf : comparison.solvers) {

@@ -21,13 +21,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "frontier/frontier.hpp"
-#include "store/store.hpp"
+#include "engine/engine.hpp"
 
 namespace {
 
@@ -66,34 +67,45 @@ int main(int argc, char** argv) {
 
   struct Sweep {
     std::string family;
-    core::BiCritProblem problem;
+    std::shared_ptr<const core::BiCritProblem> problem;
     frontier::FrontierResult cold;
   };
   std::vector<Sweep> sweeps;
   for (const auto& inst : corpus) {
     const double base = bench::fmax_makespan(inst.dag, inst.mapping, speeds.fmax());
-    sweeps.push_back(
-        {inst.name, core::BiCritProblem(inst.dag, inst.mapping, speeds, base * 4.0), {}});
+    sweeps.push_back({inst.name,
+                      std::make_shared<const core::BiCritProblem>(inst.dag, inst.mapping,
+                                                                  speeds, base * 4.0),
+                      {}});
   }
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 25;
 
-  const auto sweep_all = [&](frontier::FrontierEngine& engine, bool record_cold) {
-    for (auto& s : sweeps) {
-      auto result = engine.deadline_sweep(s.problem, s.problem.deadline * 0.25,
-                                          s.problem.deadline, fopt);
-      if (record_cold) s.cold = std::move(result);
+  const auto sweep_of = [&](engine::Engine& eng, const Sweep& s) {
+    return eng.sweep(engine::FrontierQuery::deadline(s.problem, s.problem->deadline * 0.25,
+                                                     s.problem->deadline, fopt));
+  };
+  // Each phase is a fresh Engine: its cache starts empty, and with a
+  // store path the log is all that survives from the previous phase.
+  const auto make_engine = [&](bool with_store) -> std::optional<engine::Engine> {
+    engine::EngineConfig config;
+    if (with_store) config.store_path = store_path;
+    auto created = engine::Engine::create(std::move(config));
+    if (!created.is_ok()) {
+      std::cerr << "cannot create engine: " << created.status().to_string() << "\n";
+      return std::nullopt;
     }
+    return std::move(created).take();
   };
 
   // ---- cold: no persistence, first traffic pays everything ----------------
   double cold_ms = 0.0;
   {
-    frontier::SolveCache cache;
-    frontier::FrontierEngine engine(&cache);
+    auto eng = make_engine(/*with_store=*/false);
+    if (!eng) return 1;
     bench::Stopwatch sw;
-    sweep_all(engine, /*record_cold=*/true);
+    for (auto& s : sweeps) s.cold = sweep_of(*eng, s);
     cold_ms = sw.ms();
   }
 
@@ -101,21 +113,12 @@ int main(int argc, char** argv) {
   double populate_ms = 0.0;
   std::uint64_t store_bytes = 0;
   {
-    // Store first: it must outlive the cache that holds a pointer to it.
-    store::StoreOptions opt;
-    opt.path = store_path;
-    auto st = store::SolveStore::open(std::move(opt));
-    if (!st.is_ok()) {
-      std::cerr << "cannot open store: " << st.status().to_string() << "\n";
-      return 1;
-    }
-    frontier::SolveCache cache;
-    if (!cache.attach_store(&st.value()).is_ok()) return 1;
-    frontier::FrontierEngine engine(&cache);
+    auto eng = make_engine(/*with_store=*/true);
+    if (!eng) return 1;
     bench::Stopwatch sw;
-    sweep_all(engine, /*record_cold=*/false);
+    for (const auto& s : sweeps) (void)sweep_of(*eng, s);
     populate_ms = sw.ms();
-    store_bytes = st.value().stats().file_bytes;
+    store_bytes = eng->store()->stats().file_bytes;
   }
 
   // ---- restart: fresh process state, the log is all that survived ---------
@@ -124,21 +127,12 @@ int main(int argc, char** argv) {
   std::size_t restart_hits = 0;
   std::size_t mismatches = 0;
   {
-    store::StoreOptions opt;
-    opt.path = store_path;
-    auto st = store::SolveStore::open(std::move(opt));
-    if (!st.is_ok()) {
-      std::cerr << "cannot reopen store: " << st.status().to_string() << "\n";
-      return 1;
-    }
-    frontier::SolveCache cache;
-    if (!cache.attach_store(&st.value()).is_ok()) return 1;
-    frontier::FrontierEngine engine(&cache);
+    auto eng = make_engine(/*with_store=*/true);
+    if (!eng) return 1;
     bench::Stopwatch sw;
     common::Table table({"family", "points", "evaluated", "restart_hits", "identical"});
     for (auto& s : sweeps) {
-      const auto replay = engine.deadline_sweep(s.problem, s.problem.deadline * 0.25,
-                                                s.problem.deadline, fopt);
+      const auto replay = sweep_of(*eng, s);
       const bool identical = identical_curves(s.cold, replay);
       if (!identical) ++mismatches;
       table.add_row({s.family,
@@ -149,7 +143,7 @@ int main(int argc, char** argv) {
     }
     restart_ms = sw.ms();
     table.print(std::cout);
-    const auto stats = cache.stats();
+    const auto stats = eng->cache_stats();
     restart_solver_calls = stats.misses;
     restart_hits = stats.hits;
   }

@@ -96,8 +96,6 @@
 //   --warm-start          on a full miss, seed the continuous solver from
 //                         the nearest stored schedule of the same instance
 //   --cache-cap-bytes N   LRU-cap the SolveCache at ~N resident bytes
-//   --cache-stats-out F   write CacheStats snapshots (per phase) to F
-//                         (.json for JSON, anything else CSV)
 //
 // Shared options:
 //   --processors P        platform size (default 2)
@@ -109,7 +107,8 @@
 //   --solver NAME         registry solver name (default: auto-select)
 //   --slack S             deadline-slack policy (scales --deadline, and in
 //                         frontier mode the --dmin/--dmax axis; default 1)
-//   --threads N           engine worker-pool size (batch, jobs and sweeps)
+//   --threads N           size of the one worker pool used for batches,
+//                         jobs, sweeps and comparisons
 //   --jobs                solve mode: one async engine job per file
 //   --list-solvers        print the registry and exit
 //   --gantt               print the timeline (single solve only)
@@ -144,7 +143,6 @@
 #include "frontier/compare.hpp"
 #include "frontier/export.hpp"
 #include "frontier/frontier.hpp"
-#include "frontier/telemetry.hpp"
 #include "graph/io.hpp"
 #include "model/ladder.hpp"
 #include "obs/export.hpp"
@@ -202,7 +200,7 @@ int usage(const char* argv0) {
       << "  [--frel F] [--lambda0 L] [--dexp D] [--solver NAME] [--solvers n1,n2]\n"
       << "  [--slack S] [--threads N] [--points N] [--max-points M]\n"
       << "  [--cache-cap N] [--cache-cap-bytes N] [--store FILE] [--store-mode M]\n"
-      << "  [--warm-start] [--cache-stats-out F] [--resweep] [--jobs] [--stream]\n"
+      << "  [--warm-start] [--resweep] [--jobs] [--stream]\n"
       << "  [--no-metrics] [--trace-out F] [--list-solvers] [--gantt] [--csv] [--json]\n";
   return 2;
 }
@@ -239,7 +237,6 @@ struct CliArgs {
   std::size_t cache_cap_bytes = 0;
   std::string store_path;
   std::string store_mode = "both";  // both | write-through | load-on-open
-  std::string cache_stats_out;
   bool no_metrics = false;  // disable the engine's metric registry
   bool deep = false;        // remote stat: also scrape the metric registry
   std::string trace_out;    // Chrome trace_event JSON destination
@@ -342,8 +339,6 @@ bool parse_args(int argc, char** argv, int first, CliArgs& args) {
       }
     } else if (arg == "--warm-start") {
       args.warm_start = true;
-    } else if (arg == "--cache-stats-out") {
-      args.cache_stats_out = next();
     } else if (arg == "--no-metrics") {
       args.no_metrics = true;
     } else if (arg == "--trace-out") {
@@ -645,20 +640,16 @@ int run_frontier(CliArgs& args) {
   }
   engine::Engine& eng = created.value();
 
-  frontier::CacheStatsLog stats_log;
-  stats_log.sample("open", eng.cache());
-
   frontier::FrontierOptions fopt;
   fopt.initial_points = args.points;
   fopt.max_points = args.max_points;
-  fopt.threads = args.threads;  // comparisons sweep via sweeper() directly
   fopt.solver = args.solver_name;
   fopt.solve = args.options;
   const auto streamer = make_streamer(args);
 
   // Single sweeps and resweeps go through the asynchronous submit path
-  // (with the --stream observer attached); comparisons use the internal
-  // sweeper, which shares the same cache/store.
+  // (with the --stream observer attached); comparisons sweep each solver
+  // through Engine::compare on the same cache, store and pool.
   auto submit_sweep = [&](engine::FrontierQuery query) {
     query.observer = streamer;
     return eng.submit(std::move(query)).get();
@@ -668,7 +659,6 @@ int run_frontier(CliArgs& args) {
   // instance's curve (bit-identical to its cold sweep) warm-started from
   // the old one.
   auto note_prev = [&](const frontier::FrontierResult& prev) {
-    stats_log.sample("sweep-old", eng.cache());
     if (!args.csv && !args.json) {
       std::cout << "old instance '" << args.dag_paths[0] << "': "
                 << prev.points.size() << " frontier points from " << prev.evaluated
@@ -686,7 +676,7 @@ int run_frontier(CliArgs& args) {
   };
 
   // The mode dispatch below returns from many points; run it inside a
-  // lambda so the telemetry/store epilogue runs exactly once either way.
+  // lambda so the trace/cache/store epilogue runs exactly once either way.
   const int rc = [&]() -> int {
   const bool reliability_mode = args.rmin && args.rmax;
   if (reliability_mode) {
@@ -703,10 +693,9 @@ int run_frontier(CliArgs& args) {
     const auto problem = std::make_shared<const core::TriCritProblem>(
         dag.value(), mapping, speeds, rel, deadline);
     if (!args.solvers.empty()) {
-      return emit_comparison(
-          frontier::compare_reliability(eng.sweeper(), *problem, args.solvers,
-                                        *args.rmin, *args.rmax, fopt),
-          args);
+      const auto query =
+          engine::FrontierQuery::reliability(problem, *args.rmin, *args.rmax, fopt);
+      return emit_comparison(eng.compare(query, args.solvers), args);
     }
     if (args.resweep) {
       auto prev = eng.sweep(
@@ -742,9 +731,10 @@ int run_frontier(CliArgs& args) {
     const auto problem = std::make_shared<const core::TriCritProblem>(
         dag.value(), mapping, speeds, rel, dmax);
     if (!args.solvers.empty()) {
-      return emit_comparison(frontier::compare_deadline(eng.sweeper(), *problem,
-                                                        args.solvers, dmin, dmax, fopt),
-                             args);
+      return emit_comparison(
+          eng.compare(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt),
+                      args.solvers),
+          args);
     }
     if (args.resweep) {
       auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
@@ -761,9 +751,10 @@ int run_frontier(CliArgs& args) {
   const auto problem =
       std::make_shared<const core::BiCritProblem>(dag.value(), mapping, speeds, dmax);
   if (!args.solvers.empty()) {
-    return emit_comparison(frontier::compare_deadline(eng.sweeper(), *problem,
-                                                      args.solvers, dmin, dmax, fopt),
-                           args);
+    return emit_comparison(
+        eng.compare(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt),
+                    args.solvers),
+        args);
   }
   if (args.resweep) {
     auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
@@ -778,17 +769,9 @@ int run_frontier(CliArgs& args) {
       submit_sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt)), args);
   }();
 
-  // Epilogue, on every dispatch path: final telemetry snapshot, stats
-  // export, trace dump, and the cache/store summary for human-readable
-  // runs.
-  stats_log.sample("final", eng.cache());
+  // Epilogue, on every dispatch path: trace dump, and the cache/store
+  // summary for human-readable runs.
   write_trace(eng, args);
-  if (!args.cache_stats_out.empty()) {
-    const common::Status written = stats_log.write_file(args.cache_stats_out);
-    if (!written.is_ok()) {
-      std::cerr << "cannot write cache stats: " << written.to_string() << "\n";
-    }
-  }
   if (!args.csv && !args.json && rc == 0) {
     const auto stats = eng.cache_stats();
     std::cout << "cache: " << stats.entries << " entries (~" << stats.bytes

@@ -107,8 +107,9 @@ int main() {
   core::BiCritProblem discrete(dag, mapping,
                                model::SpeedModel::discrete(model::xscale_levels()),
                                30.0);
-  const auto comparison = frontier::compare_deadline(
-      eng.sweeper(), discrete, {"discrete-bnb", "discrete-greedy"}, 8.0, 30.0, options);
+  const auto comparison =
+      eng.compare(engine::FrontierQuery::deadline(discrete, 8.0, 30.0, options),
+                  {"discrete-bnb", "discrete-greedy"});
   std::cout << "\ndominance segments (deadline axis):\n";
   for (const auto& seg : comparison.segments) {
     std::cout << "  [" << seg.lo << ", " << seg.hi << "] -> " << seg.solver << "\n";

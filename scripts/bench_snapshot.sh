@@ -4,8 +4,8 @@
 # corpus benches (fork/SP closed forms, VDD LP) several times, and writes
 # the per-metric *medians* to BENCH_frontier.json at the repo root —
 # cold/warm sweeps, perturbed-instance resweeps, the warm-lookup scaling
-# curve, restart-with-store replay, batch throughput (direct and through
-# the engine façade), the solver-family accuracy/speed headlines, and the
+# curve, restart-with-store replay, engine batch throughput and its
+# metrics-on/off overhead, the solver-family accuracy/speed headlines, and the
 # serving tier's warm-daemon throughput and overload-shedding numbers,
 # the online-policy competitive ratios vs the offline oracle, and the
 # reliability simulator's model-vs-Monte-Carlo headlines.
@@ -16,7 +16,7 @@
 #
 # Defaults: 3 runs, build dir ./build-bench. The benches' own acceptance
 # bars (warm >= 5x, resweep >= 5x + bit-identical, flat warm lookups,
-# restart >= 5x + zero solver calls, facade overhead < 5%, closed-form
+# restart >= 5x + zero solver calls, metrics overhead < 3%, closed-form
 # accuracy, VDD sandwich) still gate: a failing run fails the snapshot.
 
 set -euo pipefail
@@ -103,16 +103,13 @@ snapshot = {
         "restart_identical": all(s["restart_identical"] for s in store),
         "store_bytes": med(store, "store_bytes"),
     },
-    # batch execution path (bench_batch_throughput), direct + engine facade
+    # engine batch execution path (bench_batch_throughput)
     "batch_throughput": {
         "jobs": batch[0]["jobs"],
         "serial_ms": med(batch, "serial_ms"),
         "best_ms": med(batch, "best_ms"),
         "best_speedup": med(batch, "best_speedup"),
         "failed": max(s["failed"] for s in batch),
-        "facade_ms": med(batch, "facade_ms"),
-        "facade_overhead_pct": med(batch, "facade_overhead_pct"),
-        "facade_ok": all(s["facade_ok"] for s in batch),
         # observability overhead on pure-warm batches (metrics+tracing on
         # vs off, < 3% gate, bit-identical results)
         "metrics_off_ms": med(batch, "metrics_off_ms"),

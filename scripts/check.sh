@@ -10,7 +10,7 @@
 #
 # --sanitize switches to a Debug + ASan/UBSan build of the same test
 # suite (halting on the first report), so the concurrent SolveCache and
-# the parallel_for fan-outs are exercised under sanitizer scrutiny on
+# the WorkerPool fan-outs are exercised under sanitizer scrutiny on
 # every check run.
 #
 # --tsan switches to a Debug + ThreadSanitizer build (EASCHED_TSAN=ON)

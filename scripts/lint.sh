@@ -22,7 +22,11 @@
 #  * no raw printf/puts to stdout from library code — output goes
 #    through the table/export/telemetry writers;
 #  * float serialization in export/serialize code uses %.17g (the
-#    round-trip determinism contract), never a lossy format.
+#    round-trip determinism contract), never a lossy format;
+#  * one executor: no thread is started anywhere in src/ except the
+#    WorkerPool's workers (common/parallel.cpp), the engine's
+#    DeadlineWatch thread and the serve loop thread — fan-outs go through
+#    common::WorkerPool.
 
 set -euo pipefail
 
@@ -90,6 +94,17 @@ report "export/serialize float formats must be %.17g" \
   "$(grep -rnE '%[0-9.]*[efgEFG]' src/frontier/export.cpp src/store/serialize.cpp \
      src/obs/export.cpp \
      | grep -v '%\.17g' || true)"
+
+# One executor. A thread construction names std::thread (or jthread)
+# followed by an optional variable name and ( or {; std::async and
+# vectors of threads count too. The three owned threads are allowed by
+# their exact lines.
+report "no std::thread/std::async outside common/parallel.cpp, DeadlineWatch and the serve loop" \
+  "$(grep -rnE 'std::j?thread[[:space:]]*([A-Za-z_][A-Za-z_0-9]*[[:space:]]*)?[({]|std::async[[:space:]]*\(|std::vector<std::j?thread>' src/ \
+     | grep -vE '^src/common/parallel\.(cpp|hpp):' \
+     | grep -vE '^src/engine/engine\.cpp:[0-9]+: +thread_ = std::thread\(\[this\] \{ loop\(\); \}\);$' \
+     | grep -vE '^src/serve/server\.cpp:[0-9]+: +impl->thread = std::thread\(\[impl\] \{' \
+     || true)"
 
 if (( violations )); then
   echo "lint.sh: grep-lint FAILED"

@@ -1,9 +1,6 @@
 #include "api/batch.hpp"
 
-#include <chrono>
 #include <utility>
-
-#include "common/parallel.hpp"
 
 namespace easched::api {
 
@@ -25,35 +22,6 @@ BatchReport aggregate_batch(const std::vector<BatchJob>& jobs,
     ++agg.solved;
     ++report.solved;
   }
-  return report;
-}
-
-BatchReport solve_batch(const std::vector<BatchJob>& jobs, const BatchOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-
-  std::vector<common::Result<SolveReport>> results(
-      jobs.size(), common::Result<SolveReport>(common::Status::internal("job not executed")));
-
-  common::parallel_for(
-      jobs.size(),
-      [&](std::size_t i) {
-        const BatchJob& job = jobs[i];
-        const std::string& solver = job.solver.empty() ? options.solver : job.solver;
-        if ((job.bicrit != nullptr) == (job.tricrit != nullptr)) {
-          results[i] = common::Status::invalid(
-              "batch job must carry exactly one of a BI-CRIT or TRI-CRIT problem");
-          return;
-        }
-        results[i] = job.bicrit != nullptr
-                         ? solve(SolveRequest(*job.bicrit, solver, options.solve))
-                         : solve(SolveRequest(*job.tricrit, solver, options.solve));
-      },
-      options.threads);
-
-  BatchReport report = aggregate_batch(jobs, std::move(results));
-  report.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
   return report;
 }
 

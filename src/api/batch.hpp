@@ -1,11 +1,12 @@
 #pragma once
-// Batch execution: fan a corpus of instances across the thread pool and
-// aggregate per-family statistics — the building block for the paper's
-// "wide class of problem instances" sweeps at high throughput.
+// Batch vocabulary: a corpus of instances solved as one unit, with
+// per-family statistics — the building block for the paper's "wide class
+// of problem instances" sweeps. engine::Engine runs batches (BatchQuery)
+// on its worker pool and folds the results with aggregate_batch.
 //
 // Determinism: every job is solved by the same deterministic solver it
-// would get sequentially, so `solve_batch` returns bit-identical energies
-// and schedules regardless of the thread count; only wall times vary.
+// would get sequentially, so a batch returns bit-identical energies and
+// schedules regardless of the thread count; only wall times vary.
 
 #include <cstddef>
 #include <map>
@@ -31,12 +32,6 @@ struct BatchJob {
   std::shared_ptr<const core::TriCritProblem> tricrit;
 };
 
-struct BatchOptions {
-  std::string solver;   ///< solver for every job (empty = auto-select per instance)
-  SolveOptions solve;   ///< options passed to every solve
-  std::size_t threads = 0;  ///< worker threads; 0 = common::default_thread_count()
-};
-
 /// Welford aggregates of one family's solved instances.
 struct FamilyAggregate {
   common::OnlineStats energy;
@@ -56,17 +51,11 @@ struct BatchReport {
   double wall_ms = 0.0;  ///< whole-batch wall clock
 };
 
-/// Solves every job on the common/parallel thread pool and aggregates
-/// per-family statistics. Job-level failures (infeasible instance,
-/// unknown solver name, ...) land in `results` and the `failed` counters;
-/// the batch itself always completes.
-BatchReport solve_batch(const std::vector<BatchJob>& jobs, const BatchOptions& options = {});
-
 /// Folds index-aligned per-job outcomes into a BatchReport (per-family
-/// Welford aggregates, solved/failed counters). Shared by solve_batch and
-/// by executors that run the jobs themselves (the engine façade routes
-/// batch queries through its cache and worker pool, then aggregates
-/// here); wall_ms is left 0 for the caller to stamp.
+/// Welford aggregates, solved/failed counters). Job-level failures
+/// (infeasible instance, unknown solver name, ...) count as `failed`.
+/// The engine runs batch queries through its cache and worker pool, then
+/// aggregates here; wall_ms is left 0 for the caller to stamp.
 BatchReport aggregate_batch(const std::vector<BatchJob>& jobs,
                             std::vector<common::Result<SolveReport>> results);
 

@@ -7,11 +7,11 @@
 // capability query. Custom solvers can be added at runtime via `add()`,
 // which is how new scenarios plug in without editing any facade.
 //
-// DEPRECATION: `api::solve` (and `api::solve_batch`) are now the *thin
-// internals* under the engine façade — engine::Engine routes every query
-// through them while owning the cache, store and worker pool callers
-// previously wired by hand. Direct calls keep working for one release;
-// new code should construct an Engine (engine/engine.hpp).
+// `api::solve` is the solver layer: one uncached, synchronous solve of
+// one request. engine::Engine calls it (through its SolveCache) for every
+// query it runs, and a reference replay can call it directly to check
+// served answers. Callers that want caching, persistence, batches,
+// sweeps or asynchronous jobs construct an Engine (engine/engine.hpp).
 
 #include <memory>
 #include <optional>
@@ -54,7 +54,7 @@ class SolverRegistry {
   std::size_t size() const;
 
  private:
-  /// add() may race with solve_batch workers iterating the registry;
+  /// add() may race with pool workers iterating the registry;
   /// all access to solvers_ is serialised (solver runs happen outside
   /// the lock, so contention is a few pointer reads per solve). The
   /// *elements* are immutable once registered and never removed, which

@@ -14,8 +14,7 @@
 //
 // This layer is the solver *vocabulary*, not the serving surface: callers
 // that want caching, persistence and asynchronous jobs construct an
-// engine::Engine (engine/engine.hpp) on top of it. The old enum facade in
-// core/solvers.hpp has been removed (the header keeps the migration map).
+// engine::Engine (engine/engine.hpp) on top of it.
 
 #include <optional>
 #include <string>

@@ -16,61 +16,6 @@ std::size_t default_thread_count() noexcept {
   return std::clamp<std::size_t>(hc == 0 ? 1 : hc, 1, 64);
 }
 
-namespace {
-
-// Runs fn(w) on `workers` threads (worker index w in [0, workers)), joining
-// all of them and rethrowing the first captured exception.
-void run_workers(std::size_t workers, const std::function<void(std::size_t)>& fn) {
-  if (workers <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  std::exception_ptr first_error;
-  std::atomic<bool> has_error{false};
-  std::atomic<int> error_guard{0};
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      try {
-        fn(w);
-      } catch (...) {
-        // Record only the first exception; losing later ones is acceptable
-        // because all of them indicate the same failed parallel region.
-        if (error_guard.fetch_add(1) == 0) {
-          first_error = std::current_exception();
-          has_error.store(true);
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (has_error.load()) std::rethrow_exception(first_error);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  if (n == 0) return;
-  std::size_t workers = threads == 0 ? default_thread_count() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1 || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  constexpr std::size_t kGrain = 16;
-  run_workers(workers, [&](std::size_t) {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(kGrain);
-      if (begin >= n) break;
-      const std::size_t end = std::min(begin + kGrain, n);
-      for (std::size_t i = begin; i < end; ++i) body(i);
-    }
-  });
-}
-
 WorkerPool::WorkerPool(std::size_t threads) {
   std::size_t workers = threads == 0 ? default_thread_count() : threads;
   if (workers == 0) workers = 1;
@@ -192,22 +137,11 @@ void WorkerPool::parallel(std::size_t n, const std::function<void(std::size_t)>&
   }
 }
 
-void parallel_chunks(std::size_t n, std::size_t chunks,
-                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                     std::size_t threads) {
+void parallel_chunks(WorkerPool& pool, std::size_t n, std::size_t chunks,
+                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (n == 0 || chunks == 0) return;
   // Deterministic decomposition: chunk c covers [c*n/chunks, (c+1)*n/chunks).
-  auto lo = [&](std::size_t c) { return c * n / chunks; };
-  std::size_t workers = threads == 0 ? default_thread_count() : threads;
-  workers = std::min(workers, chunks);
-  std::atomic<std::size_t> next{0};
-  run_workers(workers, [&](std::size_t) {
-    for (;;) {
-      const std::size_t c = next.fetch_add(1);
-      if (c >= chunks) break;
-      body(c, lo(c), lo(c + 1));
-    }
-  });
+  pool.parallel(chunks, [&](std::size_t c) { body(c, c * n / chunks, (c + 1) * n / chunks); });
 }
 
 }  // namespace easched::common

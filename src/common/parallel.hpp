@@ -1,11 +1,14 @@
 #pragma once
-// Minimal data-parallel building blocks over std::thread.
+// The library's one executor: a persistent WorkerPool, plus a
+// deterministic chunking helper on top of it.
 //
-// easched is a scheduling *library*; its own hot loops (Monte-Carlo fault
-// injection, parameter sweeps in benches, subset enumeration) are
-// embarrassingly parallel. parallel_for provides deterministic chunking so
-// that per-chunk RNG substreams give run-to-run reproducible results
-// independent of the number of worker threads.
+// easched's own hot loops (frontier sweep rounds, batch corpora,
+// Monte-Carlo fault injection, simulator corpora) are embarrassingly
+// parallel. All of them fan out through WorkerPool::parallel, either on
+// the engine's pool or on a local pool sized by the caller's `threads`;
+// parallel_chunks adds a chunking that does not depend on the pool size,
+// so per-chunk RNG substreams give reproducible results for any thread
+// count.
 
 #include <atomic>
 #include <cstddef>
@@ -21,31 +24,11 @@
 
 namespace easched::common {
 
-/// Number of worker threads used by parallel_for (>= 1).
-/// Defaults to std::thread::hardware_concurrency(), clamped to [1, 64].
+/// Default WorkerPool size (>= 1): std::thread::hardware_concurrency(),
+/// clamped to [1, 64].
 std::size_t default_thread_count() noexcept;
 
-/// Runs body(i) for i in [0, n) across worker threads.
-///
-/// Work is split into contiguous chunks; `body` must be safe to call
-/// concurrently for distinct i. Exceptions thrown by `body` propagate to
-/// the caller (the first one observed; remaining work is still joined).
-/// With threads == 1 (or n small) runs inline on the calling thread.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t threads = 0);
-
-/// Runs body(chunk_index, begin, end) over a deterministic chunking of
-/// [0, n) into exactly `chunks` contiguous ranges (some possibly empty).
-///
-/// The chunk decomposition depends only on (n, chunks) — not on the thread
-/// count — so seeding an RNG substream per chunk_index yields reproducible
-/// parallel Monte-Carlo runs.
-void parallel_chunks(std::size_t n, std::size_t chunks,
-                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                     std::size_t threads = 0);
-
-/// Persistent worker pool: the serving-path counterpart of the transient
-/// parallel_for threads. Threads are spawned once and reused for every
+/// Persistent worker pool. Threads are spawned once and reused for every
 /// submitted task, so a long-lived server (the engine façade) pays thread
 /// start-up once instead of per request.
 ///
@@ -64,8 +47,7 @@ void parallel_chunks(std::size_t n, std::size_t chunks,
 /// Exceptions thrown by a submitted task are swallowed after being routed
 /// to the task's own catch scope (submit wraps nothing — the caller's fn
 /// must handle its errors; engine jobs convert them to Status). Exceptions
-/// from parallel() bodies propagate to the parallel() caller, matching
-/// parallel_for.
+/// from parallel() bodies propagate to the parallel() caller.
 ///
 /// The destructor finishes every already-submitted task, then joins.
 class WorkerPool {
@@ -99,8 +81,10 @@ class WorkerPool {
   /// Runs body(i) for i in [0, n), returning when all iterations finished.
   /// The caller executes iterations itself while idle pool workers help;
   /// results are independent of who ran what (body must be safe for
-  /// concurrent distinct i, as with parallel_for). The first exception a
-  /// body throws is rethrown here after every iteration completed.
+  /// concurrent distinct i). On a one-thread pool, or with n == 1, the
+  /// iterations run inline on the caller in index order. The first
+  /// exception a body throws is rethrown here after every iteration
+  /// completed.
   void parallel(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
@@ -125,5 +109,15 @@ class WorkerPool {
   /// pool) and joined in the destructor; size() reads it lock-free.
   std::vector<std::thread> workers_;
 };
+
+/// Runs body(chunk_index, begin, end) on `pool` over a deterministic
+/// chunking of [0, n) into exactly `chunks` contiguous ranges (some
+/// possibly empty).
+///
+/// The chunk decomposition depends only on (n, chunks) — not on the pool
+/// size — so seeding an RNG substream per chunk_index yields reproducible
+/// parallel Monte-Carlo runs.
+void parallel_chunks(WorkerPool& pool, std::size_t n, std::size_t chunks,
+                     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
 
 }  // namespace easched::common

@@ -215,13 +215,9 @@ api::BatchReport execute_batch(frontier::SolveCache& cache, common::WorkerPool& 
     }
     const std::string& solver = job.solver.empty() ? query.solver : job.solver;
     try {
-      if (job.bicrit != nullptr) {
-        api::SolveRequest request(*job.bicrit, solver, query.options);
-        results[i] = query.use_cache ? cache.solve(request) : api::solve(request);
-      } else {
-        api::SolveRequest request(*job.tricrit, solver, query.options);
-        results[i] = query.use_cache ? cache.solve(request) : api::solve(request);
-      }
+      results[i] = job.bicrit != nullptr
+                       ? cache.solve(api::SolveRequest(*job.bicrit, solver, query.options))
+                       : cache.solve(api::SolveRequest(*job.tricrit, solver, query.options));
     } catch (const std::exception& e) {
       results[i] = common::Status::internal(std::string("batch job threw: ") + e.what());
     }
@@ -232,13 +228,10 @@ api::BatchReport execute_batch(frontier::SolveCache& cache, common::WorkerPool& 
   return report;
 }
 
-/// FrontierOptions with the engine pool, cancel flag and observer chained in.
-frontier::FrontierOptions sweep_options(common::WorkerPool& pool,
-                                        const FrontierQuery& query,
+/// FrontierOptions with the cancel flag and observer chained in.
+frontier::FrontierOptions sweep_options(const FrontierQuery& query,
                                         const std::atomic<bool>* cancel) {
   frontier::FrontierOptions options = query.options;
-  options.pool = &pool;
-  options.threads = 0;
   if (cancel != nullptr) options.cancel = cancel;
   if (query.observer) options.on_point = query.observer;
   return options;
@@ -249,13 +242,12 @@ frontier::FrontierOptions sweep_options(common::WorkerPool& pool,
 /// with the engine-chained options. The callables receive
 /// (problem, lo, hi, options).
 template <typename BiSweep, typename TriSweep, typename RelSweep>
-frontier::FrontierResult dispatch_sweep(common::WorkerPool& pool,
-                                        const FrontierQuery& query,
+frontier::FrontierResult dispatch_sweep(const FrontierQuery& query,
                                         const std::atomic<bool>* cancel,
                                         const BiSweep& bicrit_deadline,
                                         const TriSweep& tricrit_deadline,
                                         const RelSweep& tricrit_reliability) {
-  const frontier::FrontierOptions options = sweep_options(pool, query, cancel);
+  const frontier::FrontierOptions options = sweep_options(query, cancel);
   if (query.axis == frontier::ConstraintAxis::kReliability) {
     if (query.tricrit == nullptr) {
       return frontier_error(query.axis, common::Status::invalid(
@@ -276,11 +268,10 @@ frontier::FrontierResult dispatch_sweep(common::WorkerPool& pool,
 }
 
 frontier::FrontierResult execute_frontier(const frontier::FrontierEngine& sweeper,
-                                          common::WorkerPool& pool,
                                           const FrontierQuery& query,
                                           const std::atomic<bool>* cancel) {
   return dispatch_sweep(
-      pool, query, cancel,
+      query, cancel,
       [&](const core::BiCritProblem& p, double lo, double hi,
           const frontier::FrontierOptions& o) { return sweeper.deadline_sweep(p, lo, hi, o); },
       [&](const core::TriCritProblem& p, double lo, double hi,
@@ -292,12 +283,11 @@ frontier::FrontierResult execute_frontier(const frontier::FrontierEngine& sweepe
 }
 
 frontier::FrontierResult execute_resweep(const frontier::FrontierEngine& sweeper,
-                                         common::WorkerPool& pool,
                                          const ResweepQuery& query,
                                          const std::atomic<bool>* cancel) {
   const frontier::FrontierResult& prev = query.prev;
   return dispatch_sweep(
-      pool, query.target, cancel,
+      query.target, cancel,
       [&](const core::BiCritProblem& p, double lo, double hi,
           const frontier::FrontierOptions& o) { return sweeper.resweep(prev, p, lo, hi, o); },
       [&](const core::TriCritProblem& p, double lo, double hi,
@@ -458,7 +448,6 @@ common::Result<Engine> Engine::create(EngineConfig config) {
     if (!attached.is_ok()) return attached;
   }
 
-  engine.sweeper_ = std::make_unique<frontier::FrontierEngine>(engine.cache_.get());
   engine.next_job_id_ = std::make_unique<std::atomic<std::uint64_t>>(1);
   engine.queued_ = std::make_unique<std::atomic<std::size_t>>(0);
 
@@ -484,6 +473,8 @@ common::Result<Engine> Engine::create(EngineConfig config) {
 
   engine.deadline_watch_ = std::make_unique<detail::DeadlineWatch>();
   engine.pool_ = std::make_unique<common::WorkerPool>(config.threads);
+  engine.sweeper_ =
+      std::make_unique<frontier::FrontierEngine>(*engine.pool_, engine.cache_.get());
   return engine;
 }
 
@@ -664,19 +655,17 @@ Engine::BatchHandle Engine::submit(BatchQuery query, const SubmitOptions& opts) 
 Engine::FrontierHandle Engine::submit(FrontierQuery query, const SubmitOptions& opts) {
   using R = frontier::FrontierResult;
   const frontier::FrontierEngine* sweeper = sweeper_.get();
-  common::WorkerPool* pool = pool_.get();
   const frontier::ConstraintAxis axis = query.axis;
   return enqueue<R>(
       instruments_ ? &instruments_->frontier : nullptr, opts,
-      [sweeper, pool, query = std::move(query)](detail::JobState<R>& state,
-                                                bool expired) -> R {
+      [sweeper, query = std::move(query)](detail::JobState<R>& state, bool expired) -> R {
         if (expired) {
           return frontier_error(query.axis,
                                 common::Status::deadline_exceeded(
                                     "frontier job expired before it could run"));
         }
         try {
-          R result = execute_frontier(*sweeper, *pool, query, &state.cancel);
+          R result = execute_frontier(*sweeper, query, &state.cancel);
           result.error = deadline_adjusted(std::move(result.error), state.deadline_fired);
           return result;
         } catch (const std::exception& e) {
@@ -698,19 +687,17 @@ Engine::FrontierHandle Engine::submit(FrontierQuery query, const SubmitOptions& 
 Engine::FrontierHandle Engine::submit(ResweepQuery query, const SubmitOptions& opts) {
   using R = frontier::FrontierResult;
   const frontier::FrontierEngine* sweeper = sweeper_.get();
-  common::WorkerPool* pool = pool_.get();
   const frontier::ConstraintAxis axis = query.target.axis;
   return enqueue<R>(
       instruments_ ? &instruments_->resweep : nullptr, opts,
-      [sweeper, pool, query = std::move(query)](detail::JobState<R>& state,
-                                                bool expired) -> R {
+      [sweeper, query = std::move(query)](detail::JobState<R>& state, bool expired) -> R {
         if (expired) {
           return frontier_error(query.target.axis,
                                 common::Status::deadline_exceeded(
                                     "resweep job expired before it could run"));
         }
         try {
-          R result = execute_resweep(*sweeper, *pool, query, &state.cancel);
+          R result = execute_resweep(*sweeper, query, &state.cancel);
           result.error = deadline_adjusted(std::move(result.error), state.deadline_fired);
           return result;
         } catch (const std::exception& e) {
@@ -787,10 +774,10 @@ api::BatchReport Engine::solve_batch(std::vector<api::BatchJob> jobs, std::strin
 frontier::FrontierResult Engine::sweep(FrontierQuery query) {
   detail::Instruments* const ins = instruments_.get();
   if (ins == nullptr || ins->registry == nullptr) {
-    return execute_frontier(*sweeper_, *pool_, query, nullptr);
+    return execute_frontier(*sweeper_, query, nullptr);
   }
   const auto begin = std::chrono::steady_clock::now();
-  frontier::FrontierResult result = execute_frontier(*sweeper_, *pool_, query, nullptr);
+  frontier::FrontierResult result = execute_frontier(*sweeper_, query, nullptr);
   record_sync(*ins, ins->frontier, begin,
               result.error.is_ok() ? "ok" : outcome_label(result.error.code()));
   return result;
@@ -799,13 +786,29 @@ frontier::FrontierResult Engine::sweep(FrontierQuery query) {
 frontier::FrontierResult Engine::resweep(ResweepQuery query) {
   detail::Instruments* const ins = instruments_.get();
   if (ins == nullptr || ins->registry == nullptr) {
-    return execute_resweep(*sweeper_, *pool_, query, nullptr);
+    return execute_resweep(*sweeper_, query, nullptr);
   }
   const auto begin = std::chrono::steady_clock::now();
-  frontier::FrontierResult result = execute_resweep(*sweeper_, *pool_, query, nullptr);
+  frontier::FrontierResult result = execute_resweep(*sweeper_, query, nullptr);
   record_sync(*ins, ins->resweep, begin,
               result.error.is_ok() ? "ok" : outcome_label(result.error.code()));
   return result;
+}
+
+frontier::FrontierComparison Engine::compare(const FrontierQuery& query,
+                                             const std::vector<std::string>& solvers) {
+  std::vector<frontier::SolverFrontier> swept;
+  swept.reserve(solvers.size());
+  for (const auto& name : solvers) {
+    FrontierQuery per_solver = query;
+    per_solver.options.solver = name;
+    frontier::SolverFrontier sf;
+    sf.solver = name;
+    sf.result = sweep(std::move(per_solver));
+    sf.summary = frontier::summarize(sf.result);
+    swept.push_back(std::move(sf));
+  }
+  return frontier::build_comparison(query.axis, std::move(swept));
 }
 
 // ---- observability exports ----

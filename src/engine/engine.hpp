@@ -26,11 +26,11 @@
 // incremental output and early stop; the streamed set reproduces the
 // synchronous sweep's curve bit-identically after dominance filtering.
 //
-// The pre-façade entry points (api::solve, api::solve_batch,
-// frontier::FrontierEngine) remain available as thin internals — the
-// Engine is built from them, and existing callers keep compiling — but
-// they are no longer the public surface: new code should construct an
-// Engine. Direct use is deprecated for one release.
+// The Engine is the only route to batches, sweeps and multi-solver
+// comparisons, and its pool is the only executor they fan out on. Below
+// it, api::solve is the uncached solver layer every query ends in, and
+// frontier::FrontierEngine is the sweep algorithm the Engine runs on its
+// pool.
 
 #include <atomic>
 #include <chrono>
@@ -55,6 +55,7 @@
 #include "common/status.hpp"
 #include "core/problem.hpp"
 #include "frontier/cache.hpp"
+#include "frontier/compare.hpp"
 #include "frontier/frontier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -145,17 +146,13 @@ struct SolveQuery {
   api::SolveOptions options;
 };
 
-/// A corpus of jobs solved as one unit, aggregated per family exactly
-/// like api::solve_batch — but executed on the engine pool and (by
-/// default) through the shared cache, so repeat corpora hit.
+/// A corpus of jobs solved as one unit on the engine pool, through the
+/// shared cache (repeat corpora hit; the store policies apply), and
+/// aggregated per family by api::aggregate_batch.
 struct BatchQuery {
   std::vector<api::BatchJob> jobs;
   std::string solver;        ///< batch-level solver; per-job override wins
   api::SolveOptions options; ///< forwarded to every solve
-  /// Route solves through the shared SolveCache (repeat corpora hit; the
-  /// store policies apply). Off = call the registry directly, matching
-  /// api::solve_batch byte for byte in behaviour and overhead.
-  bool use_cache = true;
 };
 
 /// One Pareto sweep. Use the factories — they pick the axis and keep the
@@ -475,6 +472,12 @@ class Engine {
                                const api::SolveOptions& options = {});
   frontier::FrontierResult sweep(FrontierQuery query);
   frontier::FrontierResult resweep(ResweepQuery query);
+  /// Multi-solver comparison: sweeps `query` once per named solver (its
+  /// options.solver overridden), in request order, then reports which
+  /// solver dominates where (frontier/compare.hpp). Each sweep counts as
+  /// one synchronous frontier call in the metrics.
+  frontier::FrontierComparison compare(const FrontierQuery& query,
+                                       const std::vector<std::string>& solvers);
 
   // ---- owned state ----
 
@@ -489,10 +492,6 @@ class Engine {
   frontier::SolveCache& cache() noexcept { return *cache_; }
   /// The attached persistent store; nullptr when none was configured.
   store::SolveStore* store() noexcept { return store_.get(); }
-  /// The internal sweep engine, for advanced flows the façade does not
-  /// wrap (multi-solver comparisons via frontier/compare.hpp). Sweeps run
-  /// through it share the engine cache but not the pool/cancel plumbing.
-  const frontier::FrontierEngine& sweeper() const noexcept { return *sweeper_; }
 
   // ---- observability (strictly observational; see src/obs) ----
 
@@ -536,7 +535,9 @@ class Engine {
 
   EngineConfig config_;
   std::unique_ptr<store::SolveStore> store_;     ///< outlives the cache
-  std::unique_ptr<frontier::SolveCache> cache_;  ///< outlives the sweeper
+  std::unique_ptr<frontier::SolveCache> cache_;  ///< outlives the pool
+  /// Built after the pool it fans out on; destroyed after it too, so no
+  /// sweep can still be running.
   std::unique_ptr<frontier::FrontierEngine> sweeper_;
   std::unique_ptr<std::atomic<std::uint64_t>> next_job_id_;
   /// Submitted-but-not-started count, for max_queued_jobs admission.

@@ -230,7 +230,7 @@ class SolveCache {
   };
 
   /// `shards` is rounded up to a power of two (default suits up to the
-  /// parallel_for thread cap). `max_entries` > 0 caps the entry count
+  /// default WorkerPool size cap). `max_entries` > 0 caps the entry count
   /// with per-shard LRU eviction: the cap is floor-split across shards
   /// (at least 1 per shard), and a cap smaller than the requested shard
   /// count shrinks the shard count to the largest power of two the cap

@@ -1,15 +1,10 @@
 #include "frontier/compare.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 namespace easched::frontier {
-namespace {
 
-/// Builds dominance segments from per-solver sweeps: evaluate every
-/// frontier at the union of all constraint values, pick the per-point
-/// winner, and merge maximal same-winner runs.
 FrontierComparison build_comparison(ConstraintAxis axis,
                                     std::vector<SolverFrontier> solvers) {
   FrontierComparison comparison;
@@ -54,28 +49,6 @@ FrontierComparison build_comparison(ConstraintAxis axis,
   return comparison;
 }
 
-/// Runs `sweep` once per named solver (options.solver overridden) and
-/// builds the comparison.
-FrontierComparison compare_with(
-    ConstraintAxis axis, const std::vector<std::string>& solvers,
-    const FrontierOptions& options,
-    const std::function<FrontierResult(const FrontierOptions&)>& sweep) {
-  std::vector<SolverFrontier> swept;
-  swept.reserve(solvers.size());
-  for (const auto& name : solvers) {
-    FrontierOptions per_solver = options;
-    per_solver.solver = name;
-    SolverFrontier sf;
-    sf.solver = name;
-    sf.result = sweep(per_solver);
-    sf.summary = summarize(sf.result);
-    swept.push_back(std::move(sf));
-  }
-  return build_comparison(axis, std::move(swept));
-}
-
-}  // namespace
-
 double frontier_energy_at(const std::vector<FrontierPoint>& frontier,
                           ConstraintAxis axis, double constraint) {
   if (frontier.empty()) return std::numeric_limits<double>::infinity();
@@ -98,39 +71,6 @@ double frontier_energy_at(const std::vector<FrontierPoint>& frontier,
   const auto prev = it - 1;
   const double t = (constraint - prev->constraint) / (it->constraint - prev->constraint);
   return prev->energy + t * (it->energy - prev->energy);
-}
-
-FrontierComparison compare_deadline(const FrontierEngine& engine,
-                                    const core::BiCritProblem& problem,
-                                    const std::vector<std::string>& solvers,
-                                    double dmin, double dmax,
-                                    const FrontierOptions& options) {
-  return compare_with(ConstraintAxis::kDeadline, solvers, options,
-                      [&](const FrontierOptions& per_solver) {
-                        return engine.deadline_sweep(problem, dmin, dmax, per_solver);
-                      });
-}
-
-FrontierComparison compare_deadline(const FrontierEngine& engine,
-                                    const core::TriCritProblem& problem,
-                                    const std::vector<std::string>& solvers,
-                                    double dmin, double dmax,
-                                    const FrontierOptions& options) {
-  return compare_with(ConstraintAxis::kDeadline, solvers, options,
-                      [&](const FrontierOptions& per_solver) {
-                        return engine.deadline_sweep(problem, dmin, dmax, per_solver);
-                      });
-}
-
-FrontierComparison compare_reliability(const FrontierEngine& engine,
-                                       const core::TriCritProblem& problem,
-                                       const std::vector<std::string>& solvers,
-                                       double rmin, double rmax,
-                                       const FrontierOptions& options) {
-  return compare_with(ConstraintAxis::kReliability, solvers, options,
-                      [&](const FrontierOptions& per_solver) {
-                        return engine.reliability_sweep(problem, rmin, rmax, per_solver);
-                      });
 }
 
 }  // namespace easched::frontier

@@ -1,6 +1,7 @@
 #pragma once
-// Multi-solver frontier comparison: sweep N registered solvers over the
-// same instance and report which one dominates where.
+// Multi-solver frontier comparison: given sweeps of N registered solvers
+// over the same instance (engine::Engine::compare), report which one
+// dominates where.
 //
 // Heuristics are rarely uniformly best — the paper's own evaluation shows
 // the chain-centric and parallelism-centric TRI-CRIT families winning on
@@ -13,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/problem.hpp"
 #include "frontier/analytics.hpp"
 #include "frontier/frontier.hpp"
 
@@ -40,30 +40,13 @@ struct FrontierComparison {
   std::vector<DominanceSegment> segments;   ///< ascending, non-overlapping
 };
 
-/// Sweeps every named solver over deadlines [dmin, dmax] of the same
-/// BI-CRIT instance. Solvers that fail on every point contribute an empty
-/// frontier and never win a segment.
-FrontierComparison compare_deadline(const FrontierEngine& engine,
-                                    const core::BiCritProblem& problem,
-                                    const std::vector<std::string>& solvers,
-                                    double dmin, double dmax,
-                                    const FrontierOptions& options = {});
-
-/// TRI-CRIT deadline-axis comparison at the problem's fixed reliability
-/// threshold.
-FrontierComparison compare_deadline(const FrontierEngine& engine,
-                                    const core::TriCritProblem& problem,
-                                    const std::vector<std::string>& solvers,
-                                    double dmin, double dmax,
-                                    const FrontierOptions& options = {});
-
-/// Sweeps every named solver over reliability thresholds [rmin, rmax] of
-/// the same TRI-CRIT instance.
-FrontierComparison compare_reliability(const FrontierEngine& engine,
-                                       const core::TriCritProblem& problem,
-                                       const std::vector<std::string>& solvers,
-                                       double rmin, double rmax,
-                                       const FrontierOptions& options = {});
+/// Builds dominance segments from per-solver sweeps (in request order):
+/// evaluate every frontier at the union of all constraint values, pick the
+/// per-point winner, and merge maximal same-winner runs. Solvers whose
+/// sweep found no feasible point contribute an empty frontier and never
+/// win a segment. engine::Engine::compare runs the sweeps and calls this.
+FrontierComparison build_comparison(ConstraintAxis axis,
+                                    std::vector<SolverFrontier> solvers);
 
 /// Interpolated frontier energy of `frontier` (sorted ascending
 /// constraint) at `constraint`: linear between points, extended flat

@@ -133,8 +133,8 @@ std::vector<double> initial_grid(double lo, double hi, int initial) {
 /// (which intervals to split, in which order) derive from the solved
 /// energies and the total order on constraints, never from timing or
 /// thread interleaving — so the evaluated set is deterministic.
-FrontierResult run_sweep(ConstraintAxis axis, double lo, double hi,
-                         const FrontierOptions& options, const EvalFn& eval_at) {
+FrontierResult run_sweep(common::WorkerPool& pool, ConstraintAxis axis, double lo,
+                         double hi, const FrontierOptions& options, const EvalFn& eval_at) {
   const auto start = std::chrono::steady_clock::now();
   EASCHED_CHECK_MSG(lo > 0.0 && lo <= hi, "frontier sweep needs 0 < lo <= hi");
 
@@ -172,11 +172,7 @@ FrontierResult run_sweep(ConstraintAxis axis, double lo, double hi,
       if (e.cache_hit) cache_hits.fetch_add(1, std::memory_order_relaxed);
       evals[i] = std::move(e);
     };
-    if (options.pool != nullptr) {
-      options.pool->parallel(constraints.size(), eval_one);
-    } else {
-      common::parallel_for(constraints.size(), eval_one, options.threads);
-    }
+    pool.parallel(constraints.size(), eval_one);
     // Stream before the map absorbs the evals: batch order (grid order,
     // then candidate-score order) is deterministic, so observers replaying
     // the stream see the same sequence on every run and thread count.
@@ -308,8 +304,9 @@ FrontierResult run_sweep(ConstraintAxis axis, double lo, double hi,
 /// the new range, deduplicated against the replay's grid which is solved
 /// either way) in one parallel batch through `eval_at`, so the replay
 /// finds them cached. Returns how many probes were prefetched.
-std::size_t prefetch_probes(const FrontierResult& prev, double lo, double hi,
-                            const FrontierOptions& options, const EvalFn& eval_at) {
+std::size_t prefetch_probes(common::WorkerPool& pool, const FrontierResult& prev,
+                            double lo, double hi, const FrontierOptions& options,
+                            const EvalFn& eval_at) {
   const int initial = std::max(1, options.initial_points);
   std::vector<double> batch = initial_grid(lo, hi, initial);
   for (double c : prev.probes) {
@@ -335,23 +332,20 @@ std::size_t prefetch_probes(const FrontierResult& prev, double lo, double hi,
     bool hit = false;
     (void)eval_at(batch[i], &hit);
   };
-  if (options.pool != nullptr) {
-    options.pool->parallel(batch.size(), prefetch_one);
-  } else {
-    common::parallel_for(batch.size(), prefetch_one, options.threads);
-  }
+  pool.parallel(batch.size(), prefetch_one);
   return batch.size();
 }
 
 /// Shared resweep scaffold: speculative prefetch (when the engine has a
 /// cache), then the exact replay `sweep`, with the full prefetch+replay
 /// span as wall_ms. `eval` may be null (no cache: nothing to prefetch).
-FrontierResult resweep_run(const FrontierResult& prev, double lo, double hi,
-                           const FrontierOptions& options, const EvalFn* eval,
+FrontierResult resweep_run(common::WorkerPool& pool, const FrontierResult& prev,
+                           double lo, double hi, const FrontierOptions& options,
+                           const EvalFn* eval,
                            const std::function<FrontierResult()>& sweep) {
   const auto start = std::chrono::steady_clock::now();
   const std::size_t prefetched =
-      eval != nullptr ? prefetch_probes(prev, lo, hi, options, *eval) : 0;
+      eval != nullptr ? prefetch_probes(pool, prev, lo, hi, options, *eval) : 0;
   FrontierResult result = sweep();
   result.prefetched = prefetched;
   result.wall_ms = std::chrono::duration<double, std::milli>(
@@ -367,7 +361,7 @@ FrontierResult FrontierEngine::deadline_sweep(const core::BiCritProblem& problem
                                               const FrontierOptions& options) const {
   EASCHED_CHECK_MSG(problem.deadline > 0.0,
                     "deadline_sweep needs a positive anchor deadline");
-  return run_sweep(ConstraintAxis::kDeadline, dmin, dmax, options,
+  return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax, options,
                    make_deadline_eval(cache_, problem, options));
 }
 
@@ -376,7 +370,7 @@ FrontierResult FrontierEngine::deadline_sweep(const core::TriCritProblem& proble
                                               const FrontierOptions& options) const {
   EASCHED_CHECK_MSG(problem.deadline > 0.0,
                     "deadline_sweep needs a positive anchor deadline");
-  return run_sweep(ConstraintAxis::kDeadline, dmin, dmax, options,
+  return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax, options,
                    make_deadline_eval(cache_, problem, options));
 }
 
@@ -386,7 +380,7 @@ FrontierResult FrontierEngine::reliability_sweep(const core::TriCritProblem& pro
   const model::ReliabilityModel& base = problem.reliability;
   EASCHED_CHECK_MSG(rmin >= base.fmin() && rmax <= base.fmax(),
                     "reliability sweep range must lie within [fmin, fmax]");
-  return run_sweep(ConstraintAxis::kReliability, rmin, rmax, options,
+  return run_sweep(*pool_, ConstraintAxis::kReliability, rmin, rmax, options,
                    make_reliability_eval(cache_, problem, options));
 }
 
@@ -398,10 +392,11 @@ FrontierResult FrontierEngine::resweep(const FrontierResult& prev,
   EASCHED_CHECK_MSG(problem.deadline > 0.0,
                     "resweep needs a positive anchor deadline");
   const EvalFn eval = make_deadline_eval(cache_, problem, options);
-  return resweep_run(prev, dmin, dmax, options, cache_ != nullptr ? &eval : nullptr,
+  return resweep_run(*pool_, prev, dmin, dmax, options,
+                     cache_ != nullptr ? &eval : nullptr,
                      [&] {
-                       return run_sweep(ConstraintAxis::kDeadline, dmin, dmax, options,
-                                        eval);
+                       return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax,
+                                        options, eval);
                      });
 }
 
@@ -413,10 +408,11 @@ FrontierResult FrontierEngine::resweep(const FrontierResult& prev,
   EASCHED_CHECK_MSG(problem.deadline > 0.0,
                     "resweep needs a positive anchor deadline");
   const EvalFn eval = make_deadline_eval(cache_, problem, options);
-  return resweep_run(prev, dmin, dmax, options, cache_ != nullptr ? &eval : nullptr,
+  return resweep_run(*pool_, prev, dmin, dmax, options,
+                     cache_ != nullptr ? &eval : nullptr,
                      [&] {
-                       return run_sweep(ConstraintAxis::kDeadline, dmin, dmax, options,
-                                        eval);
+                       return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax,
+                                        options, eval);
                      });
 }
 
@@ -430,10 +426,11 @@ FrontierResult FrontierEngine::resweep_reliability(const FrontierResult& prev,
   EASCHED_CHECK_MSG(rmin >= base.fmin() && rmax <= base.fmax(),
                     "reliability sweep range must lie within [fmin, fmax]");
   const EvalFn eval = make_reliability_eval(cache_, problem, options);
-  return resweep_run(prev, rmin, rmax, options, cache_ != nullptr ? &eval : nullptr,
+  return resweep_run(*pool_, prev, rmin, rmax, options,
+                     cache_ != nullptr ? &eval : nullptr,
                      [&] {
-                       return run_sweep(ConstraintAxis::kReliability, rmin, rmax,
-                                        options, eval);
+                       return run_sweep(*pool_, ConstraintAxis::kReliability, rmin,
+                                        rmax, options, eval);
                      });
 }
 

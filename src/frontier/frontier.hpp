@@ -1,11 +1,12 @@
 #pragma once
 // FrontierEngine — adaptive Pareto trade-off sweeps over the solver API.
 //
-// DEPRECATION: constructing a FrontierEngine directly is now the thin
-// internal path — engine::Engine (engine/engine.hpp) owns one, shares its
-// SolveCache with every other query type, runs sweeps as cancellable
-// pool jobs and streams points to observers. Direct use keeps working
-// for one release; new code should submit a FrontierQuery instead.
+// FrontierEngine is the sweep algorithm engine::Engine (engine/engine.hpp)
+// runs on its worker pool: the Engine builds one over its SolveCache and
+// pool, and serves FrontierQuery / ResweepQuery jobs and multi-solver
+// comparisons (Engine::compare) through it, adding cancellation,
+// deadlines, streaming observers and metrics. Callers sweep through the
+// Engine; the class is public so its tests can pin the algorithm down.
 //
 // The paper's contribution is the *trade-off* between energy and the
 // deadline / reliability constraints; a single api::solve only answers one
@@ -22,9 +23,9 @@
 // the curve bends (large deviation of a point from the chord of its
 // neighbours) and across the feasibility boundary, so the point budget
 // concentrates at the knee instead of the flat tail. Each evaluation round
-// fans out via common::parallel_for; refinement decisions depend only on
+// fans out on the engine's WorkerPool; refinement decisions depend only on
 // solved energies, so the returned points are bit-identical for every
-// thread count, and — through the optional SolveCache — for warm re-runs.
+// pool size, and — through the optional SolveCache — for warm re-runs.
 //
 // Sweeps with a cache intern the instance once (SolveCache::context_for)
 // and probe with O(1) POD keys, so the per-probe lookup cost is
@@ -89,14 +90,9 @@ struct FrontierOptions {
   std::string solver;            ///< registry name; empty = auto-select per point
   api::SolveOptions solve;       ///< forwarded to every solve (deadline_slack is
                                  ///< overridden by deadline_sweep)
-  std::size_t threads = 0;       ///< parallel_for workers; 0 = default
 
-  // ---- execution & streaming hooks (set by the engine façade) ----
+  // ---- cancellation & streaming hooks (set by the engine façade) ----
 
-  /// When non-null, evaluation rounds fan out on this persistent pool
-  /// (the calling thread participates) instead of transient parallel_for
-  /// threads; `threads` is ignored. Results are bit-identical either way.
-  common::WorkerPool* pool = nullptr;
   /// Cooperative cancellation: checked between evaluation rounds. A set
   /// flag stops the sweep early — the result carries the points gathered
   /// so far and error = Status kCancelled. Every solve that already
@@ -136,9 +132,13 @@ struct FrontierResult {
 
 class FrontierEngine {
  public:
-  /// `cache` (optional, not owned) memoizes every evaluation; share one
-  /// cache across sweeps to make repeat traffic hit instead of re-solve.
-  explicit FrontierEngine(SolveCache* cache = nullptr) : cache_(cache) {}
+  /// Evaluation rounds fan out on `pool` (the calling thread
+  /// participates, so sweeping from inside a pool task cannot deadlock).
+  /// `cache` (optional) memoizes every evaluation; share one cache across
+  /// sweeps to make repeat traffic hit instead of re-solve. Neither is
+  /// owned; both must outlive the FrontierEngine.
+  explicit FrontierEngine(common::WorkerPool& pool, SolveCache* cache = nullptr)
+      : pool_(&pool), cache_(cache) {}
 
   SolveCache* cache() const noexcept { return cache_; }
 
@@ -190,6 +190,7 @@ class FrontierEngine {
                                      const FrontierOptions& options = {}) const;
 
  private:
+  common::WorkerPool* pool_;
   SolveCache* cache_;
 };
 

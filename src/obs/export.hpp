@@ -1,9 +1,8 @@
 #pragma once
 // Shared serialization helpers for every telemetry export in the repo.
 //
-// Before src/obs existed, each telemetry surface (frontier CSV/JSON
-// export, the CacheStatsLog series writer, bench JSON) carried its own
-// escaping and float-formatting code. This header is the single home:
+// Every telemetry export (frontier CSV/JSON, the simulator's per-cell
+// table, bench JSON) escapes and formats floats through this one header:
 //
 //   csv_escape / json_escape   label text made safe for either format
 //   format_double              %.17g — the shortest format that
@@ -11,8 +10,7 @@
 //                              determinism contract for serialized floats
 //   SampleTable                a column-ordered table of labelled numeric
 //                              samples with one CSV and one JSON writer;
-//                              frontier::CacheStatsLog and the CLI's
-//                              --cache-stats-out alias both go through it
+//                              the CLI's `simulate --out` goes through it
 //
 // The obs metrics Registry (metrics.hpp) uses the same escapes and the
 // same float format, so a dashboard ingesting any easched export parses
@@ -40,8 +38,7 @@ std::string format_double(double v);
 
 /// A table of labelled numeric samples: fixed columns, rows of cells,
 /// each cell either quoted (a label) or raw (a pre-rendered number).
-/// write_file picks JSON when the path ends in ".json", CSV otherwise —
-/// the dispatch --cache-stats-out always had, now in one place.
+/// write_file picks JSON when the path ends in ".json", CSV otherwise.
 class SampleTable {
  public:
   explicit SampleTable(std::vector<std::string> columns)

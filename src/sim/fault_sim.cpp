@@ -48,8 +48,9 @@ SimReport simulate(const graph::Dag& dag, const sched::Schedule& schedule,
     common::OnlineStats energy;
   };
   std::vector<ChunkAccum> accums(chunks);
+  common::WorkerPool pool(options.threads);
   common::parallel_chunks(
-      static_cast<std::size_t>(options.trials), chunks,
+      pool, static_cast<std::size_t>(options.trials), chunks,
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         auto& acc = accums[chunk];
         acc.task_success.assign(static_cast<std::size_t>(n), 0);
@@ -85,8 +86,7 @@ SimReport simulate(const graph::Dag& dag, const sched::Schedule& schedule,
           if (all_ok) ++acc.app_success;
           acc.energy.add(energy);
         }
-      },
-      options.threads);
+      });
 
   // Reduce.
   for (graph::TaskId t = 0; t < n; ++t) {

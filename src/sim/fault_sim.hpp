@@ -33,7 +33,7 @@ namespace easched::sim {
 struct SimOptions {
   long long trials = 100000;
   std::uint64_t seed = 0x5eedULL;
-  std::size_t threads = 0;  ///< 0 = default_thread_count()
+  std::size_t threads = 0;  ///< local pool size; 0 = default_thread_count()
 };
 
 struct TaskSimStats {

@@ -208,18 +208,15 @@ std::vector<std::vector<PolicyMetrics>> run_policy_corpus(
   // streams x policies cells, one slot each: parallel order never
   // touches results, and every cell owns a fresh Policy instance.
   const std::size_t cells = static_cast<std::size_t>(streams) * policies.size();
-  common::parallel_for(
-      static_cast<std::size_t>(streams),
-      [&](std::size_t s) { traces[s] = make_trace(classes, horizon, seed, s); }, threads);
-  common::parallel_for(
-      cells,
-      [&](std::size_t cell) {
-        const std::size_t s = cell / policies.size();
-        const std::size_t p = cell % policies.size();
-        auto policy = make_policy(policies[p]);
-        out[s][p] = simulate_policy(traces[s], classes, config, *policy.value(), registry);
-      },
-      threads);
+  common::WorkerPool pool(threads);
+  pool.parallel(static_cast<std::size_t>(streams),
+                [&](std::size_t s) { traces[s] = make_trace(classes, horizon, seed, s); });
+  pool.parallel(cells, [&](std::size_t cell) {
+    const std::size_t s = cell / policies.size();
+    const std::size_t p = cell % policies.size();
+    auto policy = make_policy(policies[p]);
+    out[s][p] = simulate_policy(traces[s], classes, config, *policy.value(), registry);
+  });
   return out;
 }
 

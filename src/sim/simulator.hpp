@@ -6,8 +6,8 @@
 // replay is a pure function of (trace, classes, config, policy): all
 // arithmetic is sequential double math driven off the deterministic
 // EventQueue, so the same seed gives bit-identical metrics on every run.
-// run_policy_corpus fans a corpus of streams x policies out over
-// common::parallel_for with index-addressed result slots — thread count
+// run_policy_corpus fans a corpus of streams x policies out over a local
+// common::WorkerPool with index-addressed result slots — thread count
 // changes scheduling, never results.
 //
 // Energy accounting (consistent with the offline solvers, so competitive
@@ -81,9 +81,9 @@ PolicyMetrics simulate_policy(const ArrivalTrace& trace,
 /// The corpus harness: `streams` independent traces under the same seed
 /// (stream indices 0..streams-1), each replayed under every named
 /// policy. Result slot [s][p] is stream s under policy_names[p].
-/// Cells run in parallel (`threads` as in common::parallel_for); each
-/// cell constructs its own Policy instance, so results are bit-identical
-/// for every thread count.
+/// Cells run in parallel on a local pool of `threads` workers (0 =
+/// common::default_thread_count()); each cell constructs its own Policy
+/// instance, so results are bit-identical for every thread count.
 std::vector<std::vector<PolicyMetrics>> run_policy_corpus(
     const std::vector<TaskClass>& classes, int streams, double horizon,
     std::uint64_t seed, const std::vector<std::string>& policies,

@@ -1,16 +1,26 @@
-// solve_batch acceptance: fanning the standard corpus (8 families x 3
-// instances) across the thread pool must return per-family aggregates
-// identical to sequential solves — batching changes throughput, never
-// results.
+// Batch acceptance: fanning the standard corpus (8 families x 3
+// instances) across the engine's worker pool must return per-family
+// aggregates identical to sequential solves — batching changes
+// throughput, never results.
 
 #include "api/batch.hpp"
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.hpp"
+#include "engine/engine.hpp"
 
 namespace easched::api {
 namespace {
+
+/// Runs `jobs` as one batch on a fresh engine with a `threads`-worker pool.
+BatchReport run_batch(std::vector<BatchJob> jobs, std::size_t threads = 4,
+                      std::string solver = {}) {
+  engine::EngineConfig config;
+  config.threads = threads;
+  auto eng = engine::Engine::create(config);
+  EXPECT_TRUE(eng.is_ok());
+  return eng.value().solve_batch(std::move(jobs), std::move(solver));
+}
 
 std::vector<core::Instance> standard_corpus_for_test() {
   common::Rng rng(42);
@@ -21,16 +31,14 @@ std::vector<core::Instance> standard_corpus_for_test() {
   return core::standard_corpus(rng, opt);
 }
 
-TEST(SolveBatch, MatchesSequentialSolvesExactly) {
+TEST(EngineBatch, MatchesSequentialSolvesExactly) {
   const auto corpus = standard_corpus_for_test();
   const auto jobs =
       corpus_bicrit_jobs(corpus, model::SpeedModel::continuous(0.1, 1.0), 1.6);
   ASSERT_EQ(jobs.size(), corpus.size());
   ASSERT_EQ(jobs.size(), 24u) << "standard corpus should be 8 families x 3 instances";
 
-  BatchOptions opt;
-  opt.threads = 4;
-  const auto batch = solve_batch(jobs, opt);
+  const auto batch = run_batch(jobs);
   ASSERT_EQ(batch.results.size(), jobs.size());
 
   // Sequential reference: the exact same requests, one at a time.
@@ -64,17 +72,13 @@ TEST(SolveBatch, MatchesSequentialSolvesExactly) {
   }
 }
 
-TEST(SolveBatch, ThreadCountNeverChangesResults) {
+TEST(EngineBatch, ThreadCountNeverChangesResults) {
   const auto corpus = standard_corpus_for_test();
   const auto jobs =
       corpus_bicrit_jobs(corpus, model::SpeedModel::discrete(model::xscale_levels()), 1.8);
 
-  BatchOptions serial;
-  serial.threads = 1;
-  BatchOptions parallel;
-  parallel.threads = common::default_thread_count();
-  const auto a = solve_batch(jobs, serial);
-  const auto b = solve_batch(jobs, parallel);
+  const auto a = run_batch(jobs, /*threads=*/1);
+  const auto b = run_batch(jobs, /*threads=*/8);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     ASSERT_EQ(a.results[i].is_ok(), b.results[i].is_ok()) << i;
@@ -87,7 +91,7 @@ TEST(SolveBatch, ThreadCountNeverChangesResults) {
   }
 }
 
-TEST(SolveBatch, TriCritCorpusAggregates) {
+TEST(EngineBatch, TriCritCorpusAggregates) {
   common::Rng rng(43);
   core::CorpusOptions opt;
   opt.tasks = 6;
@@ -98,7 +102,7 @@ TEST(SolveBatch, TriCritCorpusAggregates) {
   const auto jobs =
       corpus_tricrit_jobs(corpus, model::SpeedModel::continuous(0.2, 1.0), rel, 2.0);
 
-  const auto batch = solve_batch(jobs);
+  const auto batch = run_batch(jobs);
   EXPECT_EQ(batch.solved + batch.failed, jobs.size());
   EXPECT_GT(batch.solved, 0u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -109,13 +113,13 @@ TEST(SolveBatch, TriCritCorpusAggregates) {
   }
 }
 
-TEST(SolveBatch, PerJobFailuresAreIsolated) {
+TEST(EngineBatch, PerJobFailuresAreIsolated) {
   const auto corpus = standard_corpus_for_test();
   auto jobs = corpus_bicrit_jobs(corpus, model::SpeedModel::continuous(0.1, 1.0), 1.6);
   jobs.resize(3);
   jobs[1].solver = "no-such-solver";  // per-job override with an unknown name
 
-  const auto batch = solve_batch(jobs);
+  const auto batch = run_batch(jobs);
   ASSERT_EQ(batch.results.size(), 3u);
   EXPECT_TRUE(batch.results[0].is_ok());
   EXPECT_EQ(batch.results[1].status().code(), common::StatusCode::kNotFound);
@@ -124,13 +128,12 @@ TEST(SolveBatch, PerJobFailuresAreIsolated) {
   EXPECT_EQ(batch.solved, 2u);
 }
 
-TEST(SolveBatch, BatchLevelSolverOverrideApplies) {
+TEST(EngineBatch, BatchLevelSolverOverrideApplies) {
   const auto corpus = standard_corpus_for_test();
   auto jobs = corpus_bicrit_jobs(corpus, model::SpeedModel::continuous(0.05, 1.0), 2.0);
 
-  BatchOptions opt;
-  opt.solver = "continuous-ipm";  // force IPM even where closed forms exist
-  const auto batch = solve_batch(jobs, opt);
+  // Force IPM even where closed forms exist.
+  const auto batch = run_batch(jobs, /*threads=*/4, "continuous-ipm");
   for (std::size_t i = 0; i < batch.results.size(); ++i) {
     if (!batch.results[i].is_ok()) continue;
     EXPECT_EQ(batch.results[i].value().solver, "continuous-ipm") << jobs[i].family;
@@ -138,10 +141,10 @@ TEST(SolveBatch, BatchLevelSolverOverrideApplies) {
   EXPECT_GT(batch.solved, 0u);
 }
 
-TEST(SolveBatch, MalformedJobReported) {
+TEST(EngineBatch, MalformedJobReported) {
   BatchJob empty;
   empty.family = "broken";
-  const auto batch = solve_batch({empty});
+  const auto batch = run_batch({empty});
   ASSERT_EQ(batch.results.size(), 1u);
   EXPECT_EQ(batch.results[0].status().code(), common::StatusCode::kInvalidArgument);
   EXPECT_EQ(batch.by_family.at("broken").failed, 1u);

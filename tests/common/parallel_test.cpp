@@ -13,76 +13,47 @@
 namespace easched::common {
 namespace {
 
-TEST(ParallelFor, CoversAllIndicesExactlyOnce) {
-  const std::size_t n = 10007;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  bool called = false;
-  parallel_for(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, SingleThreadRunsInline) {
-  std::vector<std::size_t> order;
-  parallel_for(8, [&](std::size_t i) { order.push_back(i); }, /*threads=*/1);
-  ASSERT_EQ(order.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100, [&](std::size_t i) {
-        if (i == 37) throw std::runtime_error("boom");
-      }),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, SumMatchesSerial) {
-  const std::size_t n = 5000;
-  std::atomic<long long> total{0};
-  parallel_for(n, [&](std::size_t i) { total.fetch_add(static_cast<long long>(i)); });
-  EXPECT_EQ(total.load(), static_cast<long long>(n * (n - 1) / 2));
-}
-
 TEST(ParallelChunks, DecompositionIsDeterministicAndComplete) {
-  const std::size_t n = 1000, chunks = 7;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(chunks);
-  parallel_chunks(n, chunks, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-    ranges[c] = {lo, hi};
-  });
-  std::size_t covered = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    EXPECT_LE(ranges[c].first, ranges[c].second);
-    covered += ranges[c].second - ranges[c].first;
-    if (c > 0) EXPECT_EQ(ranges[c].first, ranges[c - 1].second);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    WorkerPool pool(threads);
+    const std::size_t n = 1000, chunks = 7;
+    std::vector<std::pair<std::size_t, std::size_t>> ranges(chunks);
+    parallel_chunks(pool, n, chunks, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+      ranges[c] = {lo, hi};
+    });
+    std::size_t covered = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_LE(ranges[c].first, ranges[c].second);
+      covered += ranges[c].second - ranges[c].first;
+      if (c > 0) EXPECT_EQ(ranges[c].first, ranges[c - 1].second);
+    }
+    EXPECT_EQ(covered, n) << threads;
+    EXPECT_EQ(ranges.front().first, 0u);
+    EXPECT_EQ(ranges.back().second, n);
   }
-  EXPECT_EQ(covered, n);
-  EXPECT_EQ(ranges.front().first, 0u);
-  EXPECT_EQ(ranges.back().second, n);
 }
 
-TEST(ParallelChunks, SameDecompositionRegardlessOfThreads) {
+TEST(ParallelChunks, SameDecompositionRegardlessOfPoolSize) {
   const std::size_t n = 997, chunks = 13;
   std::vector<std::pair<std::size_t, std::size_t>> r1(chunks), r2(chunks);
-  parallel_chunks(n, chunks,
-                  [&](std::size_t c, std::size_t lo, std::size_t hi) { r1[c] = {lo, hi}; },
-                  /*threads=*/1);
-  parallel_chunks(n, chunks,
-                  [&](std::size_t c, std::size_t lo, std::size_t hi) { r2[c] = {lo, hi}; },
-                  /*threads=*/8);
+  WorkerPool one(1);
+  WorkerPool eight(8);
+  parallel_chunks(one, n, chunks,
+                  [&](std::size_t c, std::size_t lo, std::size_t hi) { r1[c] = {lo, hi}; });
+  parallel_chunks(eight, n, chunks,
+                  [&](std::size_t c, std::size_t lo, std::size_t hi) { r2[c] = {lo, hi}; });
   EXPECT_EQ(r1, r2);
 }
 
 TEST(ParallelChunks, MoreChunksThanItemsYieldsEmptyChunks) {
-  std::atomic<std::size_t> total{0};
-  parallel_chunks(3, 10, [&](std::size_t, std::size_t lo, std::size_t hi) {
-    total.fetch_add(hi - lo);
-  });
-  EXPECT_EQ(total.load(), 3u);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    WorkerPool pool(threads);
+    std::atomic<std::size_t> total{0};
+    parallel_chunks(pool, 3, 10, [&](std::size_t, std::size_t lo, std::size_t hi) {
+      total.fetch_add(hi - lo);
+    });
+    EXPECT_EQ(total.load(), 3u) << threads;
+  }
 }
 
 TEST(DefaultThreadCount, IsPositiveAndBounded) {
@@ -138,11 +109,39 @@ TEST(WorkerPool, PriorityOutranksSubmissionOrder) {
 }
 
 TEST(WorkerPool, ParallelCoversEveryIndexExactlyOnce) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    WorkerPool pool(threads);
+    const std::size_t n = 10007;
+    std::vector<std::atomic<int>> counts(n);
+    std::atomic<long long> total{0};
+    pool.parallel(n, [&](std::size_t i) {
+      counts[i].fetch_add(1);
+      total.fetch_add(static_cast<long long>(i));
+    });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
+    EXPECT_EQ(total.load(), static_cast<long long>(n * (n - 1) / 2)) << threads;
+  }
+}
+
+TEST(WorkerPool, ParallelEmptyRangeIsNoop) {
   WorkerPool pool(4);
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> counts(n);
-  pool.parallel(n, [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i].load(), 1) << i;
+  bool called = false;
+  pool.parallel(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+}
+
+TEST(WorkerPool, ParallelOnOneThreadRunsInlineInOrder) {
+  WorkerPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  pool.parallel(40, [&](std::size_t i) {
+    order.push_back(i);  // unsynchronised on purpose: inline means one thread
+    if (std::this_thread::get_id() != caller) all_on_caller = false;
+  });
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(order.size(), 40u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(WorkerPool, NestedParallelFromWorkerDoesNotDeadlock) {
@@ -163,17 +162,19 @@ TEST(WorkerPool, NestedParallelFromWorkerDoesNotDeadlock) {
 }
 
 TEST(WorkerPool, ParallelPropagatesTheFirstException) {
-  WorkerPool pool(4);
-  EXPECT_THROW(
-      pool.parallel(100,
-                    [](std::size_t i) {
-                      if (i == 37) throw std::runtime_error("boom");
-                    }),
-      std::runtime_error);
-  // The pool survives a failed region and keeps serving.
-  std::atomic<int> ran{0};
-  pool.parallel(10, [&](std::size_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 10);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    WorkerPool pool(threads);
+    EXPECT_THROW(
+        pool.parallel(100,
+                      [](std::size_t i) {
+                        if (i == 37) throw std::runtime_error("boom");
+                      }),
+        std::runtime_error);
+    // The pool survives a failed region and keeps serving.
+    std::atomic<int> ran{0};
+    pool.parallel(10, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 10) << threads;
+  }
 }
 
 }  // namespace

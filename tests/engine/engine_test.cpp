@@ -149,7 +149,8 @@ TEST(Engine, ConcurrentMixedQueriesOnOneEngine) {
   frontier::FrontierOptions fopt;
   fopt.initial_points = 5;
   fopt.max_points = 11;
-  const frontier::FrontierEngine cold_sweeper(nullptr);
+  common::WorkerPool ref_pool(1);
+  const frontier::FrontierEngine cold_sweeper(ref_pool);
   const auto ref_curve =
       cold_sweeper.deadline_sweep(*bi, bi->deadline * 0.6, bi->deadline, fopt);
   ASSERT_TRUE(ref_curve.error.is_ok());
@@ -205,12 +206,7 @@ TEST(Engine, ConcurrentMixedQueriesOnOneEngine) {
   EXPECT_GT(stats.hits, stats.misses);
 }
 
-TEST(Engine, BatchQueryAggregatesLikeSolveBatch) {
-  EngineConfig config;
-  config.threads = 4;
-  auto created = Engine::create(config);
-  ASSERT_TRUE(created.is_ok());
-
+TEST(Engine, BatchQueryAggregatesLikeSerialSolves) {
   common::Rng rng(31);
   core::CorpusOptions copt;
   copt.tasks = 8;
@@ -220,26 +216,82 @@ TEST(Engine, BatchQueryAggregatesLikeSolveBatch) {
   const auto jobs =
       api::corpus_bicrit_jobs(corpus, model::SpeedModel::continuous(0.1, 1.0), 1.8);
 
-  const auto direct = api::solve_batch(jobs);
-  BatchQuery query;
-  query.jobs = jobs;
-  auto handle = created.value().submit(std::move(query));
-  const auto& report = handle.get();
+  // Reference: the same requests solved one at a time, then aggregated.
+  std::vector<common::Result<api::SolveReport>> serial;
+  for (const auto& job : jobs) serial.push_back(api::solve(*job.bicrit));
+  const auto direct = api::aggregate_batch(jobs, std::move(serial));
 
-  EXPECT_EQ(report.solved, direct.solved);
-  EXPECT_EQ(report.failed, direct.failed);
-  ASSERT_EQ(report.results.size(), direct.results.size());
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    ASSERT_EQ(report.results[i].is_ok(), direct.results[i].is_ok()) << i;
-    if (report.results[i].is_ok()) {
-      EXPECT_EQ(report.results[i].value().energy, direct.results[i].value().energy) << i;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    EngineConfig config;
+    config.threads = threads;
+    auto created = Engine::create(config);
+    ASSERT_TRUE(created.is_ok());
+    BatchQuery query;
+    query.jobs = jobs;
+    auto handle = created.value().submit(std::move(query));
+    const auto& report = handle.get();
+
+    EXPECT_EQ(report.solved, direct.solved) << threads;
+    EXPECT_EQ(report.failed, direct.failed) << threads;
+    ASSERT_EQ(report.results.size(), direct.results.size());
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+      ASSERT_EQ(report.results[i].is_ok(), direct.results[i].is_ok()) << i;
+      if (report.results[i].is_ok()) {
+        EXPECT_EQ(report.results[i].value().energy, direct.results[i].value().energy) << i;
+      }
+    }
+    for (const auto& [family, agg] : direct.by_family) {
+      auto it = report.by_family.find(family);
+      ASSERT_NE(it, report.by_family.end()) << family;
+      EXPECT_EQ(it->second.solved, agg.solved);
+      EXPECT_EQ(it->second.energy.mean(), agg.energy.mean()) << family;
     }
   }
-  for (const auto& [family, agg] : direct.by_family) {
-    auto it = report.by_family.find(family);
-    ASSERT_NE(it, report.by_family.end()) << family;
-    EXPECT_EQ(it->second.solved, agg.solved);
-    EXPECT_EQ(it->second.energy.mean(), agg.energy.mean()) << family;
+}
+
+TEST(Engine, CompareSweepsEachSolverInRequestOrder) {
+  // A TRI-CRIT instance, so two heuristics sweep the same deadline axis.
+  const auto problem =
+      std::make_shared<const core::TriCritProblem>(random_tricrit(45, 9, 2.0));
+  frontier::FrontierOptions fopt;
+  fopt.initial_points = 5;
+  fopt.max_points = 11;
+  const auto query =
+      FrontierQuery::deadline(problem, problem->deadline * 0.6, problem->deadline, fopt);
+  const std::vector<std::string> solvers{"heuristic-B", "heuristic-A"};
+
+  std::vector<frontier::FrontierComparison> runs;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    EngineConfig config;
+    config.threads = threads;
+    auto created = Engine::create(config);
+    ASSERT_TRUE(created.is_ok());
+    runs.push_back(created.value().compare(query, solvers));
+  }
+
+  // Each entry is exactly that solver's own sweep, in request order.
+  EngineConfig config;
+  config.threads = 2;
+  auto reference = Engine::create(config);
+  ASSERT_TRUE(reference.is_ok());
+  for (const auto& comparison : runs) {
+    EXPECT_EQ(comparison.axis, frontier::ConstraintAxis::kDeadline);
+    ASSERT_EQ(comparison.solvers.size(), solvers.size());
+    for (std::size_t i = 0; i < solvers.size(); ++i) {
+      EXPECT_EQ(comparison.solvers[i].solver, solvers[i]);
+      FrontierQuery alone = query;
+      alone.options.solver = solvers[i];
+      const auto curve = reference.value().sweep(alone);
+      EXPECT_TRUE(same_curve(comparison.solvers[i].result.points, curve.points)) << i;
+    }
+    EXPECT_FALSE(comparison.segments.empty());
+  }
+  // The pool size never changes the comparison.
+  ASSERT_EQ(runs[0].segments.size(), runs[1].segments.size());
+  for (std::size_t i = 0; i < runs[0].segments.size(); ++i) {
+    EXPECT_EQ(runs[0].segments[i].lo, runs[1].segments[i].lo);
+    EXPECT_EQ(runs[0].segments[i].hi, runs[1].segments[i].hi);
+    EXPECT_EQ(runs[0].segments[i].solver, runs[1].segments[i].solver);
   }
 }
 
@@ -278,7 +330,8 @@ TEST(Engine, StreamedFrontierReproducesCurveBitIdentically) {
 
   // And the async job matches the plain synchronous engine sweep.
   frontier::SolveCache cold_cache;
-  const frontier::FrontierEngine cold(&cold_cache);
+  common::WorkerPool ref_pool(1);
+  const frontier::FrontierEngine cold(ref_pool, &cold_cache);
   const auto sync_result =
       cold.deadline_sweep(*problem, problem->deadline * 0.55, problem->deadline, fopt);
   EXPECT_TRUE(same_curve(sync_result.points, result.points));
@@ -369,7 +422,8 @@ TEST(Engine, CancellationMidSweepLeavesCacheAndStoreConsistent) {
     ASSERT_TRUE(full.error.is_ok()) << full.error.to_string();
 
     frontier::SolveCache cold_cache;
-    const frontier::FrontierEngine cold(&cold_cache);
+    common::WorkerPool ref_pool(1);
+    const frontier::FrontierEngine cold(ref_pool, &cold_cache);
     const auto reference = cold.deadline_sweep(*problem, problem->deadline * 0.5,
                                                problem->deadline, fopt);
     EXPECT_TRUE(same_curve(full.points, reference.points));
@@ -487,7 +541,8 @@ TEST(Engine, ResweepThroughFacadeMatchesColdSweep) {
   EXPECT_GT(incremental.prefetched, 0u);
 
   frontier::SolveCache cold_cache;
-  const frontier::FrontierEngine cold(&cold_cache);
+  common::WorkerPool ref_pool(1);
+  const frontier::FrontierEngine cold(ref_pool, &cold_cache);
   const auto reference = cold.deadline_sweep(*new_problem, lo, hi, fopt);
   EXPECT_TRUE(same_curve(incremental.points, reference.points));
 }
@@ -798,7 +853,8 @@ TEST(Engine, RunningJobDeadlineLeavesCacheAndStoreConsistent) {
         problem, problem->deadline * 0.5, problem->deadline, fopt));
     ASSERT_TRUE(full.error.is_ok()) << full.error.to_string();
     frontier::SolveCache cold_cache;
-    const frontier::FrontierEngine cold(&cold_cache);
+    common::WorkerPool ref_pool(1);
+    const frontier::FrontierEngine cold(ref_pool, &cold_cache);
     const auto reference = cold.deadline_sweep(*problem, problem->deadline * 0.5,
                                                problem->deadline, fopt);
     EXPECT_TRUE(same_curve(full.points, reference.points));

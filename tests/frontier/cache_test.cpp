@@ -387,15 +387,13 @@ TEST(SolveCache, ConcurrentMixedWorkloadStaysConsistent) {
   SolveCache cache(4);
   const std::size_t kCalls = 64;
   std::vector<double> energies(kCalls, -1.0);
-  common::parallel_for(
-      kCalls,
-      [&](std::size_t i) {
-        const auto& p = problems[i % problems.size()];
-        const auto r = cache.solve(api::SolveRequest(p));
-        ASSERT_TRUE(r.is_ok());
-        energies[i] = r.value().energy;
-      },
-      /*threads=*/8);
+  common::WorkerPool pool(8);
+  pool.parallel(kCalls, [&](std::size_t i) {
+    const auto& p = problems[i % problems.size()];
+    const auto r = cache.solve(api::SolveRequest(p));
+    ASSERT_TRUE(r.is_ok());
+    energies[i] = r.value().energy;
+  });
 
   for (std::size_t i = 0; i < kCalls; ++i) {
     EXPECT_EQ(energies[i], reference[i % problems.size()]) << i;

@@ -4,17 +4,24 @@
 //  * the frontier is monotone along the constraint axis (energy strictly
 //    decreasing in the deadline, strictly increasing in frel),
 //  * cached (warm) and cold sweeps return bit-identical points, as do
-//    sweeps at different thread counts.
+//    sweeps on pools of different sizes.
 
 #include "frontier/frontier.hpp"
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hpp"
 #include "core/corpus.hpp"
 #include "frontier/analytics.hpp"
 
 namespace easched::frontier {
 namespace {
+
+/// The pool every sweep below fans out on, unless a test compares sizes.
+common::WorkerPool& pool() {
+  static common::WorkerPool shared(4);
+  return shared;
+}
 
 std::vector<core::Instance> small_corpus() {
   common::Rng rng(77);
@@ -55,7 +62,7 @@ void expect_frontier_invariants(const FrontierResult& result, double lo, double 
 
 TEST(DeadlineSweep, FrontierInvariantsAcrossTheCorpus) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   FrontierOptions options;
   options.initial_points = 7;
   options.max_points = 15;
@@ -80,7 +87,7 @@ TEST(DeadlineSweep, RefinementSpendsBudgetWhereTheCurveBends) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 6.0);
 
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   FrontierOptions options;
   options.initial_points = 5;
   options.max_points = 17;
@@ -104,7 +111,7 @@ TEST(DeadlineSweep, InfeasibleRegionIsReportedNotReturned) {
   const double base = fmax_deadline(inst, speeds.fmax());
   // Half the range lies below the all-fmax makespan: infeasible.
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   const auto result = engine.deadline_sweep(problem, base * 0.4, base * 2.0);
   EXPECT_GT(result.infeasible, 0u);
   for (const auto& p : result.points) {
@@ -123,8 +130,8 @@ TEST(DeadlineSweep, ColdAndWarmSweepsAreBitIdentical) {
     core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
     SolveCache cache;
-    FrontierEngine cached_engine(&cache);
-    FrontierEngine plain_engine;
+    FrontierEngine cached_engine(pool(), &cache);
+    FrontierEngine plain_engine(pool());
 
     const auto cold =
         cached_engine.deadline_sweep(problem, base * 1.1, base * 2.5, options);
@@ -154,13 +161,12 @@ TEST(DeadlineSweep, ThreadCountNeverChangesThePoints) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 3.0);
 
-  FrontierEngine engine;
-  FrontierOptions serial;
-  serial.threads = 1;
-  FrontierOptions wide;
-  wide.threads = 8;
-  const auto a = engine.deadline_sweep(problem, base * 1.05, base * 3.0, serial);
-  const auto b = engine.deadline_sweep(problem, base * 1.05, base * 3.0, wide);
+  common::WorkerPool one(1);
+  common::WorkerPool eight(8);
+  const FrontierEngine serial(one);
+  const FrontierEngine wide(eight);
+  const auto a = serial.deadline_sweep(problem, base * 1.05, base * 3.0);
+  const auto b = wide.deadline_sweep(problem, base * 1.05, base * 3.0);
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].constraint, b.points[i].constraint);
@@ -184,7 +190,7 @@ TEST(Resweep, BitIdenticalToColdSweepOfThePerturbedInstance) {
     core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
     SolveCache cache;
-    FrontierEngine engine(&cache);
+    FrontierEngine engine(pool(), &cache);
     const auto prev = engine.deadline_sweep(problem, base * 1.1, base * 2.5, options);
     ASSERT_FALSE(prev.probes.empty()) << inst.name;
 
@@ -193,17 +199,16 @@ TEST(Resweep, BitIdenticalToColdSweepOfThePerturbedInstance) {
     core::BiCritProblem perturbed = problem;
     perturbed.dag.set_weight(0, perturbed.dag.weight(0) * 1.05);
 
-    FrontierEngine plain_engine;  // no cache: the reference cold sweep
+    FrontierEngine plain_engine(pool());  // no cache: the reference cold sweep
     const auto cold =
         plain_engine.deadline_sweep(perturbed, base * 1.1, base * 2.5, options);
 
     for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      common::WorkerPool sized(threads);
       SolveCache resweep_cache;
-      FrontierEngine resweep_engine(&resweep_cache);
-      FrontierOptions threaded = options;
-      threaded.threads = threads;
+      FrontierEngine resweep_engine(sized, &resweep_cache);
       const auto warm =
-          resweep_engine.resweep(prev, perturbed, base * 1.1, base * 2.5, threaded);
+          resweep_engine.resweep(prev, perturbed, base * 1.1, base * 2.5, options);
       EXPECT_GT(warm.prefetched, 0u) << inst.name;
       ASSERT_EQ(cold.points.size(), warm.points.size())
           << inst.name << " threads=" << threads;
@@ -233,14 +238,14 @@ TEST(Resweep, ReplayFindsThePrefetchedProbesCached) {
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
   SolveCache cache;
-  FrontierEngine engine(&cache);
+  FrontierEngine engine(pool(), &cache);
   FrontierOptions options;
   options.initial_points = 6;
   options.max_points = 14;
   const auto prev = engine.deadline_sweep(problem, base * 1.1, base * 2.5, options);
 
   SolveCache fresh_cache;
-  FrontierEngine fresh_engine(&fresh_cache);
+  FrontierEngine fresh_engine(pool(), &fresh_cache);
   const auto again = fresh_engine.resweep(prev, problem, base * 1.1, base * 2.5, options);
   EXPECT_EQ(again.cache_hits, again.evaluated)
       << "an unchanged instance must replay fully from the prefetch";
@@ -257,7 +262,7 @@ TEST(Resweep, WithoutACacheDegeneratesToACorrectColdSweep) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
-  FrontierEngine plain_engine;
+  FrontierEngine plain_engine(pool());
   FrontierOptions options;
   options.initial_points = 5;
   options.max_points = 11;
@@ -283,17 +288,17 @@ TEST(ResweepReliability, BitIdenticalAcrossTheAxis) {
   options.initial_points = 5;
   options.max_points = 9;
   SolveCache cache;
-  FrontierEngine engine(&cache);
+  FrontierEngine engine(pool(), &cache);
   const auto prev = engine.reliability_sweep(problem, 0.3, 0.9, options);
   if (prev.points.empty()) GTEST_SKIP() << "family not handled by tri-crit heuristics";
 
   core::TriCritProblem perturbed = problem;
   perturbed.dag.set_weight(0, perturbed.dag.weight(0) * 1.05);
 
-  FrontierEngine plain_engine;
+  FrontierEngine plain_engine(pool());
   const auto cold = plain_engine.reliability_sweep(perturbed, 0.3, 0.9, options);
   SolveCache fresh_cache;
-  FrontierEngine fresh_engine(&fresh_cache);
+  FrontierEngine fresh_engine(pool(), &fresh_cache);
   const auto warm = fresh_engine.resweep_reliability(prev, perturbed, 0.3, 0.9, options);
   ASSERT_EQ(cold.points.size(), warm.points.size());
   for (std::size_t i = 0; i < cold.points.size(); ++i) {
@@ -315,7 +320,7 @@ TEST(ReliabilitySweep, FrontierInvariantsAndDeterminism) {
     core::TriCritProblem problem(inst.dag, inst.mapping, speeds, rel, deadline);
 
     SolveCache cache;
-    FrontierEngine engine(&cache);
+    FrontierEngine engine(pool(), &cache);
     const auto cold = engine.reliability_sweep(problem, 0.3, 0.9, options);
     if (cold.points.empty()) continue;  // family not handled by tri-crit heuristics
     expect_frontier_invariants(cold, 0.3, 0.9);
@@ -338,7 +343,7 @@ TEST(TriCritDeadlineSweep, FrontierInvariantsAtFixedReliability) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::TriCritProblem problem(inst.dag, inst.mapping, speeds, rel, base * 3.0);
 
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   FrontierOptions options;
   options.initial_points = 6;
   options.max_points = 12;
@@ -356,7 +361,7 @@ TEST(FrontierSweep, UnknownSolverIsAnErrorNotInfeasibility) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
 
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   FrontierOptions options;
   options.initial_points = 5;
   options.solver = "no-such-solver";
@@ -375,7 +380,7 @@ TEST(FrontierSweep, SinglePointRangeAndFixedSolver) {
   const double base = fmax_deadline(inst, speeds.fmax());
   core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
 
-  FrontierEngine engine;
+  FrontierEngine engine(pool());
   FrontierOptions options;
   options.solver = "continuous-ipm";
   const auto result = engine.deadline_sweep(problem, base * 2.0, base * 2.0, options);

@@ -23,12 +23,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "api/solver.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
@@ -93,6 +98,82 @@ struct Daemon {
     return daemon;
   }
 };
+
+/// A BI-CRIT solver that parks in do_run while the gate is closed, then
+/// answers exactly as continuous-ipm does. A sweep run with it holds a
+/// one-worker daemon's only worker until the test opens the gate, so
+/// tests that need "the sweep is still running" assume no timing.
+class GateSolver final : public api::Solver {
+ public:
+  std::string_view name() const noexcept override { return "test-gate"; }
+  const api::Capabilities& capabilities() const noexcept override {
+    static const api::Capabilities caps{};  // BI-CRIT, explicit-by-name only
+    return caps;
+  }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+    entered_ = false;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks until a solve is parked at the closed gate.
+  void wait_entered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+
+ protected:
+  common::Result<api::SolveReport> do_run(const api::SolveRequest& request) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return api::SolverRegistry::instance().find("continuous-ipm")->run(request);
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable bool open_ = true;
+  mutable bool entered_ = false;
+};
+
+/// The binary's one GateSolver, registered on first use.
+GateSolver& gate_solver() {
+  static GateSolver* const gate = [] {
+    auto owned = std::make_unique<GateSolver>();
+    GateSolver* raw = owned.get();
+    EXPECT_TRUE(api::SolverRegistry::instance().add(std::move(owned)).is_ok());
+    return raw;
+  }();
+  return *gate;
+}
+
+/// Closes the gate for a test's scope. Declare it after the Daemon: it
+/// opens the gate on destruction, before the engine drains its jobs, so
+/// a failed assertion cannot hang the test.
+class GateHold {
+ public:
+  GateHold() { gate_solver().close(); }
+  GateHold(const GateHold&) = delete;
+  GateHold& operator=(const GateHold&) = delete;
+  ~GateHold() { release(); }
+  void release() { gate_solver().open(); }
+};
+
+/// Blocks until `count` jobs wait in the engine queue.
+void wait_queued(const engine::Engine& engine, std::size_t count) {
+  while (engine.queued_jobs() != count) std::this_thread::yield();
+}
 
 // ---- raw-socket helpers (for traffic serve::Client refuses to send) ----
 
@@ -329,10 +410,11 @@ TEST(Serve, SweepThenResweepChainsThroughProbes) {
 
 TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
   engine::EngineConfig econfig;
-  econfig.threads = 1;  // one worker: the sweep holds it while solves pile up
+  econfig.threads = 1;  // one worker: the gated sweep holds it while solves pile up
   ServerConfig sconfig;
   sconfig.tenant_quota = 1;
   auto daemon = Daemon::start(std::move(econfig), std::move(sconfig));
+  GateHold hold;
 
   const auto slow = make_problem(23, 16, 1.7);
   const auto quick = make_problem(24, 8, 1.6);
@@ -342,9 +424,9 @@ TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
   ASSERT_TRUE(hog.is_ok());
   ASSERT_TRUE(polite.is_ok());
 
-  // The hog pipelines a sweep (fills its quota of 1) and then four solves
-  // without waiting: the daemon processes the frames in arrival order, so
-  // every solve hits the quota while the sweep is still in flight.
+  // The hog's sweep (filling its quota of 1) parks at the gate on the
+  // single worker; its four pipelined solves then all hit the quota while
+  // the sweep is provably still in flight.
   SweepRequest sweep;
   sweep.request_id = hog.value().next_request_id();
   sweep.problem = slow.spec;
@@ -353,7 +435,9 @@ TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
   sweep.hi = slow.spec.deadline;
   sweep.initial_points = 9;
   sweep.max_points = 33;
+  sweep.solver = std::string(gate_solver().name());
   ASSERT_TRUE(hog.value().send(sweep).is_ok());
+  gate_solver().wait_entered();
 
   std::vector<std::uint64_t> shed_ids;
   for (int i = 0; i < 4; ++i) {
@@ -363,16 +447,6 @@ TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
     ASSERT_TRUE(hog.value().send(request).is_ok());
     shed_ids.push_back(request.request_id);
   }
-
-  // The other tenant's quota is its own: its solve is admitted and
-  // served (queued behind the sweep on the single worker, but never shed).
-  SolveRequest polite_request;
-  polite_request.problem = quick.spec;
-  auto polite_response = polite.value().solve(std::move(polite_request));
-  ASSERT_TRUE(polite_response.is_ok()) << polite_response.status().to_string();
-  EXPECT_TRUE(polite_response.value().status.is_ok())
-      << polite_response.value().status.to_string();
-
   std::size_t shed = 0;
   for (const auto id : shed_ids) {
     auto response = hog.value().wait_solve(id);
@@ -380,6 +454,20 @@ TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
     if (response.value().status.code() == common::StatusCode::kOverloaded) ++shed;
   }
   EXPECT_EQ(shed, shed_ids.size());  // every over-quota request was shed
+
+  // The other tenant's quota is its own: its solve is admitted (queued
+  // behind the gated sweep on the single worker, never shed) and served
+  // once the gate opens.
+  SolveRequest polite_request;
+  polite_request.request_id = polite.value().next_request_id();
+  polite_request.problem = quick.spec;
+  ASSERT_TRUE(polite.value().send(polite_request).is_ok());
+  wait_queued(*daemon.engine, 1);
+  hold.release();
+  auto polite_response = polite.value().wait_solve(polite_request.request_id);
+  ASSERT_TRUE(polite_response.is_ok()) << polite_response.status().to_string();
+  EXPECT_TRUE(polite_response.value().status.is_ok())
+      << polite_response.value().status.to_string();
 
   auto swept = hog.value().wait_sweep(sweep.request_id);
   ASSERT_TRUE(swept.is_ok()) << swept.status().to_string();
@@ -402,8 +490,9 @@ TEST(Serve, TenantQuotaShedsWhileOtherTenantIsServed) {
 
 TEST(Serve, DeadlineExceededIsCountedPerTenant) {
   engine::EngineConfig econfig;
-  econfig.threads = 1;  // one worker: the sweep holds it past the solve deadline
+  econfig.threads = 1;  // one worker: the gated sweep holds it past the solve deadline
   auto daemon = Daemon::start(std::move(econfig), {});
+  GateHold hold;
 
   const auto slow = make_problem(25, 16, 1.7);
   const auto quick = make_problem(26, 8, 1.6);
@@ -411,9 +500,10 @@ TEST(Serve, DeadlineExceededIsCountedPerTenant) {
   auto client = Client::connect("127.0.0.1", daemon.server->port(), "deadliner");
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
 
-  // Pipeline a sweep to occupy the single worker, then a solve whose job
-  // deadline is effectively already expired: by the time the worker picks
-  // it up the deadline has passed, so it completes without solving.
+  // A gated sweep occupies the single worker; a solve whose job deadline
+  // is effectively already expired queues behind it. When the gate opens
+  // and the worker picks the solve up, its deadline has passed, so it
+  // completes without solving.
   SweepRequest sweep;
   sweep.request_id = client.value().next_request_id();
   sweep.problem = slow.spec;
@@ -422,13 +512,17 @@ TEST(Serve, DeadlineExceededIsCountedPerTenant) {
   sweep.hi = slow.spec.deadline;
   sweep.initial_points = 9;
   sweep.max_points = 33;
+  sweep.solver = std::string(gate_solver().name());
   ASSERT_TRUE(client.value().send(sweep).is_ok());
+  gate_solver().wait_entered();
 
   SolveRequest doomed;
   doomed.request_id = client.value().next_request_id();
   doomed.problem = quick.spec;
   doomed.job_deadline_ms = 1e-6;
   ASSERT_TRUE(client.value().send(doomed).is_ok());
+  wait_queued(*daemon.engine, 1);
+  hold.release();
 
   auto doomed_response = client.value().wait_solve(doomed.request_id);
   ASSERT_TRUE(doomed_response.is_ok()) << doomed_response.status().to_string();

@@ -227,12 +227,13 @@ TEST(SolveStore, NearestSchedulePicksClosestDeadline) {
 TEST(SolveStoreIntegration, RestartReplaysSweepBitIdenticalWithZeroSolves) {
   const std::string path = temp_log_path("restart_replay");
   const auto problem = diamond_problem(30.0);
+  common::WorkerPool pool(2);
   frontier::FrontierResult cold;
   {
     auto st = open_or_die(options_for(path));
     frontier::SolveCache cache;
     ASSERT_TRUE(cache.attach_store(&st).is_ok());
-    frontier::FrontierEngine engine(&cache);
+    frontier::FrontierEngine engine(pool, &cache);
     cold = engine.deadline_sweep(problem, 8.0, 30.0, {});
     ASSERT_TRUE(cold.error.is_ok()) << cold.error.to_string();
     EXPECT_GT(cache.stats().misses, 0u);
@@ -241,7 +242,7 @@ TEST(SolveStoreIntegration, RestartReplaysSweepBitIdenticalWithZeroSolves) {
   auto st = open_or_die(options_for(path));
   frontier::SolveCache cache;
   ASSERT_TRUE(cache.attach_store(&st).is_ok());
-  frontier::FrontierEngine engine(&cache);
+  frontier::FrontierEngine engine(pool, &cache);
   const auto warm = engine.deadline_sweep(problem, 8.0, 30.0, {});
   ASSERT_TRUE(warm.error.is_ok());
   EXPECT_EQ(cache.stats().misses, 0u);  // zero solver calls after restart
