@@ -54,7 +54,13 @@ void BM_ContinuousIpm(benchmark::State& state) {
     benchmark::DoNotOptimize(sol);
   }
 }
-BENCHMARK(BM_ContinuousIpm)->Arg(10)->Arg(20)->Arg(40)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ContinuousIpm)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(40)
+    ->Arg(64)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_VddLpSimplex(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

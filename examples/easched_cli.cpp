@@ -43,7 +43,10 @@
 //     --tenant-quota (per-tenant in-flight cap). Every engine flag
 //     (--threads, --store, --warm-start, cache caps) applies — a daemon
 //     with a store gives every connecting client cross-process warm
-//     starts. SIGINT/SIGTERM shut it down cleanly.
+//     starts. The daemon's SolveCache is byte-capped at 4 MiB unless
+//     --cache-cap-bytes says otherwise (0 = unbounded), so its decoded
+//     answers stay bounded however long it runs; the store keeps only an
+//     offset index. SIGINT/SIGTERM shut it down cleanly.
 //   easched_cli remote <host:port> solve <dag-file> --deadline D [options]
 //   easched_cli remote <host:port> sweep <dag-file> --dmin A --dmax B [options]
 //   easched_cli remote <host:port> stat [--deep [--json]]
@@ -96,6 +99,7 @@
 //   --warm-start          on a full miss, seed the continuous solver from
 //                         the nearest stored schedule of the same instance
 //   --cache-cap-bytes N   LRU-cap the SolveCache at ~N resident bytes
+//                         (default 0 = unbounded; serve: 4 MiB)
 //
 // Shared options:
 //   --processors P        platform size (default 2)
@@ -234,7 +238,7 @@ struct CliArgs {
   int points = 9, max_points = 33;
   std::size_t threads = 0;
   std::size_t cache_cap = 0;
-  std::size_t cache_cap_bytes = 0;
+  std::optional<std::size_t> cache_cap_bytes;  // unset: the mode's default
   std::string store_path;
   std::string store_mode = "both";  // both | write-through | load-on-open
   bool no_metrics = false;  // disable the engine's metric registry
@@ -449,7 +453,7 @@ common::Result<engine::Engine> make_engine(const CliArgs& args) {
   engine::EngineConfig config;
   config.threads = args.threads;
   config.cache_max_entries = args.cache_cap;
-  config.cache_max_bytes = args.cache_cap_bytes;
+  config.cache_max_bytes = args.cache_cap_bytes.value_or(0);
   config.max_queued_jobs = args.max_queued;
   config.metrics = !args.no_metrics;
   if (!args.trace_out.empty()) config.trace_capacity = 4096;
@@ -1263,6 +1267,9 @@ extern "C" void handle_stop_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
+/// serve's default --cache-cap-bytes.
+constexpr std::size_t kServeCacheCapBytes = std::size_t{4} << 20;
+
 int run_serve(CliArgs& args) {
   if (args.listen.empty()) {
     std::cerr << "serve mode needs --listen host:port\n";
@@ -1275,6 +1282,8 @@ int run_serve(CliArgs& args) {
   }
   config.tenant_quota = args.tenant_quota;
   config.default_job_deadline_ms = args.job_deadline_ms;
+  // A daemon serves for ever: bound its decoded answers by default.
+  if (!args.cache_cap_bytes) args.cache_cap_bytes = kServeCacheCapBytes;
 
   auto created = make_engine(args);
   if (!created.is_ok()) {

@@ -2,9 +2,11 @@
 # Serve-tier smoke gate: boots a real `easched_cli serve` daemon on an
 # ephemeral loopback port, drives it with the `remote` subcommand
 # (solve, sweep, stat), scrapes the Metrics endpoint twice (exposition
-# lines must parse, counters must be monotone between scrapes), checks a
-# --trace-out run emits Chrome trace_event JSON replaying the job
-# lifecycle, asserts a clean SIGTERM shutdown, then runs the
+# lines must parse, counters must be monotone between scrapes), asserts a
+# clean SIGTERM shutdown, restarts the daemon on the same store and
+# requires the first solve's answer byte for byte, read back from the
+# store with no solver call, checks a --trace-out run emits Chrome
+# trace_event JSON replaying the job lifecycle, then runs the
 # bench_serve_load replay trace (warm-vs-cold and overload-shedding
 # acceptance bars included). scripts/ci.sh runs this as its serve stage.
 #
@@ -43,28 +45,48 @@ edge 2 3
 DAG
 
 # ---- boot the daemon on an ephemeral port -------------------------------
-"$build_dir/easched_cli" serve --listen 127.0.0.1:0 --tenant-quota 8 \
-  > "$tmp_dir/daemon.log" 2>&1 &
-daemon_pid=$!
-
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-          "$tmp_dir/daemon.log" 2>/dev/null | head -n1)"
-  [[ -n "$port" ]] && break
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "serve_smoke: daemon died during startup:" >&2
-    cat "$tmp_dir/daemon.log" >&2
+# start_daemon LOG [serve options...]: boots a daemon, sets daemon_pid
+# and port once it reports its listening address.
+start_daemon() {
+  local log="$1"
+  shift
+  "$build_dir/easched_cli" serve --listen 127.0.0.1:0 "$@" > "$log" 2>&1 &
+  daemon_pid=$!
+  port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
+            "$log" 2>/dev/null | head -n1)"
+    [[ -n "$port" ]] && break
+    if ! kill -0 "$daemon_pid" 2>/dev/null; then
+      echo "serve_smoke: daemon died during startup:" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  if [[ -z "$port" ]]; then
+    echo "serve_smoke: daemon never reported its port" >&2
+    cat "$log" >&2
     exit 1
   fi
-  sleep 0.1
-done
-if [[ -z "$port" ]]; then
-  echo "serve_smoke: daemon never reported its port" >&2
-  cat "$tmp_dir/daemon.log" >&2
-  exit 1
-fi
-echo "serve_smoke: daemon up on 127.0.0.1:$port (pid $daemon_pid)"
+  echo "serve_smoke: daemon up on 127.0.0.1:$port (pid $daemon_pid)"
+}
+
+# stop_daemon LOG: SIGTERM, then require exit 0 and the shutdown line.
+stop_daemon() {
+  kill -TERM "$daemon_pid"
+  local daemon_rc=0
+  wait "$daemon_pid" || daemon_rc=$?
+  daemon_pid=""
+  if (( daemon_rc != 0 )); then
+    echo "serve_smoke: daemon exited $daemon_rc on SIGTERM" >&2
+    cat "$1" >&2
+    exit 1
+  fi
+  grep -q 'daemon stopped:' "$1"
+}
+
+start_daemon "$tmp_dir/daemon.log" --tenant-quota 8 --store "$tmp_dir/store.log"
 
 # ---- drive it with the remote subcommand --------------------------------
 "$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
@@ -141,17 +163,30 @@ done
 echo "serve_smoke: repeat solve served from the memo and the cache"
 
 # ---- clean SIGTERM shutdown ---------------------------------------------
-kill -TERM "$daemon_pid"
-daemon_rc=0
-wait "$daemon_pid" || daemon_rc=$?
-daemon_pid=""
-if (( daemon_rc != 0 )); then
-  echo "serve_smoke: daemon exited $daemon_rc on SIGTERM" >&2
-  cat "$tmp_dir/daemon.log" >&2
+stop_daemon "$tmp_dir/daemon.log"
+echo "serve_smoke: clean shutdown"
+
+# ---- a restarted daemon answers from its store --------------------------
+# Same store, no pre-load (write-through only): the first solve must come
+# back byte-identical, found and read back from the log by the store, not
+# recomputed.
+start_daemon "$tmp_dir/daemon2.log" --store "$tmp_dir/store.log" \
+  --store-mode write-through
+"$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
+  --deadline 14 > "$tmp_dir/solve_restart.out"
+cmp "$tmp_dir/solve.out" "$tmp_dir/solve_restart.out"
+"$build_dir/easched_cli" remote "127.0.0.1:$port" stat --deep \
+  > "$tmp_dir/scrape4.out"
+store_hits="$(series "$tmp_dir/scrape4.out" easched_cache_store_hits)"
+misses="$(series "$tmp_dir/scrape4.out" easched_cache_misses)"
+corrupt="$(series "$tmp_dir/scrape4.out" easched_store_read_corrupt_total)"
+if [[ "$store_hits" != 1 || "$misses" != 0 || "$corrupt" != 0 ]]; then
+  echo "serve_smoke: restart solve not served from the store" \
+       "(store hits ${store_hits:-?}, misses ${misses:-?}, corrupt ${corrupt:-?})" >&2
   exit 1
 fi
-grep -q 'daemon stopped:' "$tmp_dir/daemon.log"
-echo "serve_smoke: clean shutdown"
+stop_daemon "$tmp_dir/daemon2.log"
+echo "serve_smoke: restarted daemon served the first solve from its store"
 
 # ---- per-job tracing and metrics-off bit-identity -----------------------
 # A --trace-out sweep emits Chrome trace_event JSON whose spans replay

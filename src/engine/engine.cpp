@@ -870,6 +870,9 @@ void Engine::sample_gauges() {
     reg.gauge("easched_store_torn_bytes")->set(static_cast<double>(ss.torn_bytes));
     reg.gauge("easched_store_appended")->set(static_cast<double>(ss.appended));
     reg.gauge("easched_store_served")->set(static_cast<double>(ss.served));
+    // Sampled like its neighbours; it only ever grows.
+    reg.gauge("easched_store_read_corrupt_total")
+        ->set(static_cast<double>(ss.read_corrupt));
   }
 }
 

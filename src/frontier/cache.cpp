@@ -208,17 +208,21 @@ common::Status SolveCache::attach_store(store::SolveStore* store) {
   // (marked persisted, so it can never be spilled back). Entries beyond
   // the LRU caps are evicted as usual — a capped cache loads the most
   // recently replayed subset rather than overflowing. Interning is
-  // memoized per blob (the for_each snapshot hands out one shared string
-  // per instance, so its address identifies the blob), keeping the load
-  // O(bytes + entries) instead of one full byte-compare per entry.
-  std::unordered_map<const std::string*, std::uint64_t> instance_memo;
+  // memoized per instance (for_each hands the entries of one instance
+  // over in a row, sharing one bytes object, and consecutive instances
+  // never share an address), keeping the load O(bytes + entries) instead
+  // of one full byte-compare per entry.
+  const std::string* memo_bytes = nullptr;
+  std::uint64_t memo_instance = 0;
   std::unordered_map<std::string, std::uint64_t> solver_memo;
   store->for_each([&](const api::InstanceDigest& digest, const std::string& bytes,
                       const std::string& solver, const store::PointKey& point,
                       const store::SolveStore::StoredResult& result) {
-    auto [instance_it, fresh_instance] = instance_memo.emplace(&bytes, 0);
-    if (fresh_instance) instance_it->second = instances_.intern(digest, bytes);
-    const std::uint64_t instance = instance_it->second;
+    if (&bytes != memo_bytes) {
+      memo_bytes = &bytes;
+      memo_instance = instances_.intern(digest, bytes);
+    }
+    const std::uint64_t instance = memo_instance;
     auto [solver_it, fresh_solver] = solver_memo.emplace(solver, 0);
     if (fresh_solver) solver_it->second = intern_solver(solver);
     const std::uint64_t solver_id = solver_it->second;

@@ -7,42 +7,53 @@ namespace easched::linalg {
 
 common::Result<Cholesky> Cholesky::factor(const Matrix& a) {
   EASCHED_CHECK(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) {
-      return common::Status::not_converged("Cholesky: non-positive pivot at column " +
-                                           std::to_string(j));
-    }
-    const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= l(i, k) * l(j, k);
-      l(i, j) = v / ljj;
-    }
+  Matrix l(a.rows(), a.rows());
+  const std::size_t bad = factor_into(a, l);
+  if (bad < a.rows()) {
+    return common::Status::not_converged("Cholesky: non-positive pivot at column " +
+                                         std::to_string(bad));
   }
   return Cholesky(std::move(l));
 }
 
-Vector Cholesky::solve(const Vector& b) const {
-  const std::size_t n = dim();
-  EASCHED_CHECK(b.size() == n);
-  Vector y(n);
+std::size_t Cholesky::factor_into(const Matrix& a, Matrix& l) {
+  const std::size_t n = a.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* lj = l.row(j);
+    double diag = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
+    if (!(diag > 0.0) || !std::isfinite(diag)) return j;
+    const double ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      const double* li = l.row(i);
+      double v = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= li[k] * lj[k];
+      l(i, j) = v / ljj;
+    }
+  }
+  return n;
+}
+
+void Cholesky::solve_in_place(const Matrix& l, Vector& b) {
+  const std::size_t n = l.rows();
   for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l.row(i);
     double v = b[i];
-    const double* lrow = l_.row(i);
-    for (std::size_t k = 0; k < i; ++k) v -= lrow[k] * y[k];
-    y[i] = v / lrow[i];
+    for (std::size_t k = 0; k < i; ++k) v -= li[k] * b[k];
+    b[i] = v / li[i];
   }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double v = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) v -= l_(k, ii) * x[k];
-    x[ii] = v / l_(ii, ii);
+  for (std::size_t i = n; i-- > 0;) {
+    double v = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) v -= l(k, i) * b[k];
+    b[i] = v / l(i, i);
   }
+}
+
+Vector Cholesky::solve(const Vector& b) const {
+  EASCHED_CHECK(b.size() == dim());
+  Vector x = b;
+  solve_in_place(l_, x);
   return x;
 }
 

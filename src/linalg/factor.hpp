@@ -22,6 +22,13 @@ class Cholesky {
   /// Factors A (symmetric positive definite, only lower triangle read).
   static common::Result<Cholesky> factor(const Matrix& a);
 
+  /// The same factorization into a preallocated `l` (a's size; only its
+  /// lower triangle is written), allocating nothing. Returns the column
+  /// of the first non-positive pivot, or a.rows() on success.
+  static std::size_t factor_into(const Matrix& a, Matrix& l);
+  /// Solves L Lᵀ x = b in place (b becomes x) for an `l` from factor_into.
+  static void solve_in_place(const Matrix& l, Vector& b);
+
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 

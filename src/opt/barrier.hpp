@@ -13,6 +13,7 @@
 // Newton inner iterations is the textbook scheme B&V propose for such
 // programs, so optima agree with the GP formulation to solver tolerance.
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -60,6 +61,67 @@ struct LinearConstraint {
   double rhs = 0.0;
 };
 
+/// The Newton system of the centering subproblem t·f(x) + φ(x), with
+/// φ(x) = −Σ_k log(rhs_k − a_kᵀx), solved through a Schur complement.
+///
+/// At construction it picks the eliminated set E: variables carrying an
+/// inverse-power term, taken greedily in the order the terms were added,
+/// such that no constraint holds two of them. Each constraint then adds
+/// to at most one diagonal entry of the E block of the Hessian, so that
+/// block is diagonal (and positive: t·f'' > 0 on every member) and is
+/// eliminated in closed form. What remains is the dense Schur complement
+/// over the other variables, factored by Cholesky. For the continuous
+/// BI-CRIT program over x = [s, d] (start times, durations), E is every
+/// duration — each constraint touches one task's duration at most — and
+/// the factor is n×n instead of 2n×2n. A program in which no variable
+/// carries a term has an empty E and runs the same code.
+///
+/// All workspaces are sized once here; solve() allocates nothing unless
+/// the Schur complement is not numerically positive definite, where it
+/// falls back to a pivoted LU of it. The objective and constraints are
+/// held by reference and must outlive the system.
+class NewtonSystem {
+ public:
+  NewtonSystem(const InversePowerObjective& objective,
+               const std::vector<LinearConstraint>& constraints, std::size_t num_vars);
+
+  /// At (x, r = rhs − Ax > 0, t): g = ∇(t·f + φ), and dx solves H dx = g
+  /// for the Hessian H = t·∇²f + Σ_k a_k a_kᵀ / r_k² (+1e-12 on the
+  /// diagonal). g and dx are resized to the variable count. Fails when
+  /// the reduced system is numerically singular.
+  common::Status solve(const Vector& x, const Vector& r, double t, Vector& g, Vector& dx);
+
+  /// |E|, the variables solved in closed form.
+  std::size_t num_eliminated() const noexcept { return elim_var_.size(); }
+
+ private:
+  const InversePowerObjective& objective_;
+  const std::vector<LinearConstraint>& constraints_;
+  std::size_t num_vars_ = 0;
+
+  std::vector<int> elim_var_;  ///< E position -> variable
+  std::vector<int> kept_var_;  ///< Schur row -> variable
+  /// Per constraint: its E member (position, or -1) and summed coefficient,
+  /// and its other terms as [row_begin_[k], row_begin_[k+1]) of
+  /// term_row_ / term_coef_ (Schur rows) and term_slot_ (slot in the E
+  /// member's coupling vector, when the constraint has one).
+  std::vector<int> row_elim_;
+  std::vector<double> row_elim_coef_;
+  std::vector<std::size_t> row_begin_;
+  std::vector<std::size_t> term_row_;
+  std::vector<double> term_coef_;
+  std::vector<std::size_t> term_slot_;
+  /// Per E member: the Schur rows it couples to, as
+  /// [slot_begin_[e], slot_begin_[e+1]) of slot_row_.
+  std::vector<std::size_t> slot_begin_;
+  std::vector<std::size_t> slot_row_;
+
+  // Workspaces.
+  Vector inv_r_, hess_diag_, elim_diag_, coupling_, rhs_, kept_dx_;
+  linalg::Matrix schur_;
+  linalg::Matrix factor_;
+};
+
 struct BarrierOptions {
   double gap_tolerance = 1e-9;   ///< stop when #constraints / t < gap
   double t_initial = 1.0;        ///< initial barrier weight
@@ -81,6 +143,13 @@ struct BarrierResult {
 
 /// Minimises `objective` over { x : A x <= b } starting from the strictly
 /// feasible point x0 (every constraint satisfied with positive slack).
+///
+/// Each centering takes damped Newton steps (NewtonSystem) and ends when
+/// the Newton decrement is negligible, the line search fails, or an
+/// accepted step no longer lowers t·f + φ. The last rule stops at the
+/// rounding floor: once t is large, what a step could still gain is below
+/// the rounding error of evaluating t·f + φ, and further steps move x by
+/// noise alone.
 ///
 /// Returns kInvalidArgument when x0 is not strictly feasible and
 /// kNotConverged when Newton systems become numerically singular.

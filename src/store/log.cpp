@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -98,8 +99,8 @@ common::Status write_all(int fd, std::uint64_t offset, const std::string& bytes,
 /// Scans the frames inside `buf` (which starts at file offset `base`),
 /// invoking `fn` per intact record; returns the buffer offset of the first
 /// byte that is not part of an intact record (== buf.size() when clean).
-std::size_t scan_frames(const std::string& buf,
-                        const std::function<void(RecordType, const std::string&)>* fn) {
+std::size_t scan_frames(const std::string& buf, std::uint64_t base,
+                        const RecordLog::RecordFn* fn) {
   std::size_t at = 0;
   std::string payload;
   while (buf.size() - at >= kFramePrefix + kFrameSuffix) {
@@ -117,9 +118,40 @@ std::size_t scan_frames(const std::string& buf,
     }
     if (fn != nullptr) {
       payload.assign(buf, at + kFramePrefix, static_cast<std::size_t>(len));
-      (*fn)(static_cast<RecordType>(type), payload);
+      (*fn)(static_cast<RecordType>(type), payload, base + at);
     }
     at += static_cast<std::size_t>(frame);
+  }
+  return at;
+}
+
+/// Scans the records in [from, to) of the file a window at a time,
+/// invoking `fn` (when non-null) per intact record; returns the offset of
+/// the first byte not part of an intact record (== to when clean). It
+/// holds one window — 1 MiB, or one record when that is larger — never
+/// the whole range, so opening a long log costs no memory in its size.
+common::Result<std::uint64_t> scan_file(int fd, std::uint64_t from, std::uint64_t to,
+                                        const RecordLog::RecordFn* fn,
+                                        const std::string& path) {
+  constexpr std::uint64_t kWindow = 1 << 20;
+  std::string buf;
+  std::uint64_t at = from;
+  std::uint64_t want = kWindow;
+  while (at < to) {
+    common::Status read = read_range(fd, at, std::min(want, to - at), buf, path);
+    if (!read.is_ok()) return read;
+    const std::size_t good = scan_frames(buf, at, fn);
+    at += good;
+    const std::size_t rest = buf.size() - good;
+    if (at + rest >= to) break;  // the range ends inside this record: torn
+    // The window ends inside a record: read on from its start, whole.
+    want = kWindow;
+    if (rest >= kFramePrefix) {
+      const std::uint64_t len = load_u64(buf.data() + good + 1);
+      const std::uint64_t frame = kFramePrefix + len + kFrameSuffix;
+      if (len > kMaxPayload || frame <= rest) break;  // all there, and bad
+      want = std::max(kWindow, frame);
+    }
   }
   return at;
 }
@@ -127,18 +159,35 @@ std::size_t scan_frames(const std::string& buf,
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: table k maps a byte to its CRC contribution k bytes
+  // further on, so eight bytes fold in per step instead of one. Opening
+  // a store CRCs the whole log, which made the bytewise loop its cost.
+  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
     return t;
   }();
   std::uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(p[0]) |
+                                    static_cast<std::uint32_t>(p[1]) << 8 |
+                                    static_cast<std::uint32_t>(p[2]) << 16 |
+                                    static_cast<std::uint32_t>(p[3]) << 24);
+    crc = tables[7][lo & 0xff] ^ tables[6][(lo >> 8) & 0xff] ^
+          tables[5][(lo >> 16) & 0xff] ^ tables[4][lo >> 24] ^ tables[3][p[4]] ^
+          tables[2][p[5]] ^ tables[1][p[6]] ^ tables[0][p[7]];
+  }
+  for (; n > 0; --n, ++p) crc = tables[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return ~crc;
 }
 
@@ -170,11 +219,10 @@ common::Result<RecordLog> RecordLog::open(const std::string& path, bool read_onl
   if (!read_only && log.end_offset_ > kHeaderBytes) {
     // Re-enter the all-records-valid state: find the end of the intact
     // prefix and drop everything after it before appending anything new.
-    std::string buf;
-    common::Status read =
-        read_range(log.fd_, kHeaderBytes, log.end_offset_ - kHeaderBytes, buf, path);
-    if (!read.is_ok()) return read;
-    const std::uint64_t good = kHeaderBytes + scan_frames(buf, nullptr);
+    common::Result<std::uint64_t> scanned =
+        scan_file(log.fd_, kHeaderBytes, log.end_offset_, nullptr, path);
+    if (!scanned.is_ok()) return scanned.status();
+    const std::uint64_t good = scanned.value();
     if (good < log.end_offset_) {
       if (::ftruncate(log.fd_, static_cast<off_t>(good)) != 0) {
         return errno_status("cannot truncate torn store log", path);
@@ -234,7 +282,8 @@ RecordLog::~RecordLog() {
   if (fd_ >= 0) ::close(fd_);  // also releases the writer flock
 }
 
-common::Status RecordLog::append(RecordType type, const std::string& payload) {
+common::Result<std::uint64_t> RecordLog::append(RecordType type,
+                                                const std::string& payload) {
   if (fd_ < 0) return common::Status::internal("append on a moved-from RecordLog");
   if (read_only_) {
     return common::Status::unsupported("store log '" + path_ + "' is open read-only");
@@ -245,17 +294,17 @@ common::Status RecordLog::append(RecordType type, const std::string& payload) {
   put_u64(frame, payload.size());
   frame += payload;
   put_u32(frame, crc32(frame.data(), frame.size()));
-  common::Status written = write_all(fd_, end_offset_, frame, path_);
+  const std::uint64_t at = end_offset_;
+  common::Status written = write_all(fd_, at, frame, path_);
   if (!written.is_ok()) return written;
   end_offset_ += frame.size();
   // A writer is its own source of truth for what it appended; skip
   // re-delivering it through poll().
-  if (offset_ == end_offset_ - frame.size()) offset_ = end_offset_;
-  return common::Status::ok();
+  if (offset_ == at) offset_ = end_offset_;
+  return at;
 }
 
-common::Result<PollReport> RecordLog::poll(
-    const std::function<void(RecordType, const std::string&)>& fn) {
+common::Result<PollReport> RecordLog::poll(const RecordFn& fn) {
   if (fd_ < 0) return common::Status::internal("poll on a moved-from RecordLog");
   PollReport report;
 
@@ -276,20 +325,47 @@ common::Result<PollReport> RecordLog::poll(
   end_offset_ = static_cast<std::uint64_t>(st.st_size);
   if (end_offset_ <= offset_) return report;
 
-  std::string buf;
-  common::Status read = read_range(fd_, offset_, end_offset_ - offset_, buf, path_);
-  if (!read.is_ok()) return read;
   std::size_t delivered_records = 0;
-  const std::function<void(RecordType, const std::string&)> counting =
-      [&](RecordType type, const std::string& payload) {
-        ++delivered_records;
-        if (fn) fn(type, payload);
-      };
-  const std::size_t good = scan_frames(buf, &counting);
-  offset_ += good;
+  const RecordFn counting = [&](RecordType type, const std::string& payload,
+                                std::uint64_t at) {
+    ++delivered_records;
+    if (fn) fn(type, payload, at);
+  };
+  common::Result<std::uint64_t> good =
+      scan_file(fd_, offset_, end_offset_, &counting, path_);
+  if (!good.is_ok()) return good.status();
+  offset_ = good.value();
   report.records = delivered_records;
-  report.torn_bytes = buf.size() - good;
+  report.torn_bytes = end_offset_ - offset_;
   return report;
+}
+
+common::Result<std::string> RecordLog::read_at(std::uint64_t offset,
+                                               RecordType type) const {
+  if (fd_ < 0) return common::Status::internal("read on a moved-from RecordLog");
+  const auto bad = [offset] {
+    return common::Status::invalid("store record at offset " + std::to_string(offset) +
+                                   " fails its read-back check");
+  };
+  std::string prefix;
+  common::Status read = read_range(fd_, offset, kFramePrefix, prefix, path_);
+  if (!read.is_ok()) return read;
+  if (prefix.size() != kFramePrefix ||
+      static_cast<std::uint8_t>(prefix[0]) != static_cast<std::uint8_t>(type)) {
+    return bad();
+  }
+  const std::uint64_t len = load_u64(prefix.data() + 1);
+  if (len > kMaxPayload) return bad();
+  std::string rest;  // payload + crc
+  read = read_range(fd_, offset + kFramePrefix, len + kFrameSuffix, rest, path_);
+  if (!read.is_ok()) return read;
+  if (rest.size() != len + kFrameSuffix ||
+      load_u32(rest.data() + len) !=
+          crc32(rest.data(), len, crc32(prefix.data(), kFramePrefix))) {
+    return bad();
+  }
+  rest.resize(static_cast<std::size_t>(len));
+  return rest;
 }
 
 common::Status RecordLog::sync() {

@@ -24,6 +24,12 @@
 // renames a rewritten log into place) via inode change and reports it so
 // the owner can rebuild its state from scratch.
 //
+// Records never move once written (the log is append-only; only an
+// offline compaction rewrites it, into a new file), so the offset append()
+// returns and poll() reports names a record for the life of the file, and
+// read_at() fetches it back — CRC-checked again, so bytes changed on disk
+// after the scan read as an error, never as a different record.
+//
 // Everything here is bytes-in/bytes-out; record payload schemas live in
 // store/serialize.hpp.
 
@@ -69,7 +75,12 @@ class RecordLog {
 
   /// Appends one record (writer mode only) and advances the scan offset
   /// past it, so a writer does not re-deliver its own appends on poll().
-  common::Status append(RecordType type, const std::string& payload);
+  /// Returns the file offset the record starts at.
+  common::Result<std::uint64_t> append(RecordType type, const std::string& payload);
+
+  /// Called by poll() per intact record with its type, payload and the
+  /// file offset it starts at.
+  using RecordFn = std::function<void(RecordType, const std::string&, std::uint64_t)>;
 
   /// Scans records between the last scanned offset and the current end of
   /// file, invoking `fn` for each intact record in order. Stops silently
@@ -78,8 +89,13 @@ class RecordLog {
   /// poll). When the file was atomically replaced (compaction), reopens
   /// it, resets the offset past the header and sets `replaced` — the
   /// caller must clear derived state and re-consume everything.
-  common::Result<PollReport> poll(
-      const std::function<void(RecordType, const std::string&)>& fn);
+  common::Result<PollReport> poll(const RecordFn& fn);
+
+  /// The payload of the `type` record at `offset` (as append/poll
+  /// reported it). kInvalidArgument when the bytes there are not such a
+  /// record any more: torn, another type, an insane length or a CRC
+  /// mismatch.
+  common::Result<std::string> read_at(std::uint64_t offset, RecordType type) const;
 
   const std::string& path() const noexcept { return path_; }
   bool read_only() const noexcept { return read_only_; }

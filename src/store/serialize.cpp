@@ -60,6 +60,11 @@ struct Cursor {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  /// Skips a length-prefixed string without copying it.
+  void skip_string() {
+    const std::uint64_t n = get_u64();
+    if (has(static_cast<std::size_t>(n))) at += static_cast<std::size_t>(n);
+  }
   std::string get_string() {
     const std::uint64_t n = get_u64();
     if (!has(static_cast<std::size_t>(n))) return {};
@@ -186,6 +191,19 @@ common::Result<BlobRecord> decode_blob(const std::string& payload) {
   return blob;
 }
 
+common::Result<BlobHead> decode_blob_head(const std::string& payload) {
+  Cursor c{payload};
+  BlobHead head;
+  head.id = c.get_u64();
+  head.digest.hi = c.get_u64();
+  head.digest.lo = c.get_u64();
+  c.skip_string();
+  if (!c.done() || head.id == 0) {
+    return common::Status::invalid("corrupt blob record payload");
+  }
+  return head;
+}
+
 std::string encode_entry(const EntryRecord& entry) {
   std::string out;
   out.reserve(128);
@@ -204,20 +222,41 @@ std::string encode_entry(const EntryRecord& entry) {
   return out;
 }
 
+namespace {
+
+/// The identity fields every entry record starts with.
+void get_entry_identity(Cursor& c, std::uint64_t& blob_id, std::string& solver,
+                        PointKey& point) {
+  blob_id = c.get_u64();
+  solver = c.get_string();
+  point.kind = c.get_u8();
+  point.deadline_bits = c.get_u64();
+  point.frel_bits = c.get_u64();
+  point.approx_K = c.get_i64();
+  point.gap_tolerance_bits = c.get_u64();
+  point.max_nodes = c.get_i64();
+  point.dp_buckets = c.get_i64();
+  point.fork_grid = c.get_i64();
+  point.polish = c.get_i64();
+}
+
+}  // namespace
+
+common::Result<EntryHead> decode_entry_head(const std::string& payload) {
+  Cursor c{payload};
+  EntryHead head;
+  get_entry_identity(c, head.blob_id, head.solver, head.point);
+  head.success = c.get_u8() != 0;  // put_result's leading is-ok flag
+  if (!c.ok || head.blob_id == 0) {
+    return common::Status::invalid("corrupt entry record payload");
+  }
+  return head;
+}
+
 common::Result<EntryRecord> decode_entry(const std::string& payload) {
   Cursor c{payload};
   EntryRecord entry;
-  entry.blob_id = c.get_u64();
-  entry.solver = c.get_string();
-  entry.point.kind = c.get_u8();
-  entry.point.deadline_bits = c.get_u64();
-  entry.point.frel_bits = c.get_u64();
-  entry.point.approx_K = c.get_i64();
-  entry.point.gap_tolerance_bits = c.get_u64();
-  entry.point.max_nodes = c.get_i64();
-  entry.point.dp_buckets = c.get_i64();
-  entry.point.fork_grid = c.get_i64();
-  entry.point.polish = c.get_i64();
+  get_entry_identity(c, entry.blob_id, entry.solver, entry.point);
   auto result = get_result(c);
   if (!result.is_ok()) return result.status();
   if (!c.done() || entry.blob_id == 0) {

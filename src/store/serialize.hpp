@@ -72,6 +72,23 @@ common::Result<BlobRecord> decode_blob(const std::string& payload);
 std::string encode_entry(const EntryRecord& entry);
 common::Result<EntryRecord> decode_entry(const std::string& payload);
 
+/// What indexing a record needs, decoded without its bulk: a blob's id
+/// and digest (not its bytes), an entry's identity and whether it holds a
+/// success (not the result). A payload these accept may still fail the
+/// full decode; the store counts that when it reads the record back.
+struct BlobHead {
+  std::uint64_t id = 0;
+  api::InstanceDigest digest;
+};
+struct EntryHead {
+  std::uint64_t blob_id = 0;
+  std::string solver;
+  PointKey point;
+  bool success = false;
+};
+common::Result<BlobHead> decode_blob_head(const std::string& payload);
+common::Result<EntryHead> decode_entry_head(const std::string& payload);
+
 /// Approximate resident footprint of a stored result, used by the cache's
 /// byte-sized LRU accounting (schedules dominate: they scale with task
 /// count and VDD profile length, everything else is near-constant).

@@ -4,6 +4,7 @@
 
 #include "bicrit/closed_form.hpp"
 #include "common/rng.hpp"
+#include "core/corpus.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "sched/list_scheduler.hpp"
@@ -57,6 +58,33 @@ TEST(ContinuousDag, SeriesParallelMatchesClosedForm) {
     EXPECT_NEAR(ipm.value().energy, cf.value().energy, 2e-4 * cf.value().energy)
         << "trial " << trial;
   }
+}
+
+// Newton steps are an exact, deterministic count, so this gate has no
+// noise. A centering that ran on below the rounding floor of t·f + φ
+// took ~290 steps a solve on this corpus; stopping once a step no longer
+// lowers it takes ~96.
+TEST(ContinuousDag, MeanNewtonStepsOnA32TaskCorpus) {
+  common::Rng rng(7);
+  core::CorpusOptions corpus;
+  corpus.tasks = 32;
+  corpus.processors = 3;
+  corpus.instances_per_family = 2;
+  const auto speeds = SpeedModel::continuous(0.2, 1.0);
+  long steps = 0;
+  int solves = 0;
+  for (const auto& inst : core::standard_corpus(rng, corpus)) {
+    for (double slack : {1.5, 3.0}) {
+      const double D = core::deadline_with_slack(inst, speeds.fmax(), slack);
+      auto r = solve_continuous(inst.dag, inst.mapping, D, speeds);
+      ASSERT_TRUE(r.is_ok()) << inst.name << ": " << r.status().to_string();
+      ASSERT_GT(r.value().newton_steps, 0) << inst.name;  // the barrier ran
+      steps += r.value().newton_steps;
+      ++solves;
+    }
+  }
+  ASSERT_EQ(solves, 32);
+  EXPECT_LE(static_cast<double>(steps) / solves, 130.0);
 }
 
 TEST(ContinuousDag, SchedulesAreAlwaysFeasible) {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -598,6 +599,50 @@ TEST(Engine, StoreBackedEngineReplaysAcrossRestart) {
     // Every probe replays from the loaded store: zero fresh solver runs.
     EXPECT_EQ(created.value().cache_stats().misses, 0u);
   }
+  std::remove(path.c_str());
+}
+
+// Bytes changed on disk after the engine opened its store: the lookup
+// that reads them back misses and counts it, and the solver recomputes
+// the very same answer.
+TEST(Engine, CorruptStoredEntryIsACountedMissAndRecomputed) {
+  const std::string path = temp_store_path("corrupt");
+  std::remove(path.c_str());
+  const auto problem = random_bicrit(103, 10, 1.7);
+  double energy = 0.0;
+  {
+    EngineConfig config;
+    config.store_path = path;
+    auto created = Engine::create(config);
+    ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+    auto first = created.value().solve(problem);
+    ASSERT_TRUE(first.is_ok());
+    energy = first.value().energy;
+  }
+  EngineConfig config;
+  config.store_path = path;
+  config.store_mode = StoreMode::kWriteThrough;  // no pre-load: lookups read the log
+  auto created = Engine::create(config);
+  ASSERT_TRUE(created.is_ok());
+  {
+    // The log holds one blob then one entry: flip a byte near the end of
+    // the entry's payload, inside its CRC.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(0, std::ios::end);
+    const std::streamoff size = f.tellg();
+    f.seekp(size - 16);
+    f.put('\x5a');
+  }
+  Engine& engine = created.value();
+  auto again = engine.solve(problem);
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_EQ(again.value().energy, energy);
+  EXPECT_EQ(engine.cache_stats().store_hits, 0u);
+  EXPECT_EQ(engine.cache_stats().misses, 1u);
+  std::ostringstream scrape;
+  engine.write_metrics_text(scrape);
+  EXPECT_NE(scrape.str().find("\neasched_store_read_corrupt_total 1\n"), std::string::npos)
+      << scrape.str();
   std::remove(path.c_str());
 }
 

@@ -86,7 +86,10 @@ TEST(CrossSolver, ClosedFormVsIpmOnAllSpFamilies) {
       auto ipm = api::solve(p, "continuous-ipm");
       ASSERT_TRUE(cf.is_ok()) << k;
       ASSERT_TRUE(ipm.is_ok()) << k;
-      EXPECT_NEAR(ipm.value().energy / cf.value().energy, 1.0, 5e-4)
+      // 1e-11: the tightest bound that held with the centering run to its
+      // step limit (worst 4.5e-12 over these 20 programs); it must hold
+      // with the rounding-floor stop rule too.
+      EXPECT_NEAR(ipm.value().energy / cf.value().energy, 1.0, 1e-11)
           << "family " << k << " trial " << trial;
     }
   }
@@ -136,6 +139,11 @@ TEST(CrossSolver, TriCritChainGreedyVsHeuristicsVsExact) {
     ASSERT_TRUE(greedy.is_ok()) << trial;
     ASSERT_TRUE(best.is_ok()) << trial;
     const double opt = exact.value().solution.energy;
+    // best-of energies rest on discrete re-execution choices made on
+    // barrier slacks: a last-bit change in the barrier can flip a
+    // near-tied choice and move the energy by up to ~0.4%. The bounds
+    // here hold for either choice: never below the exact optimum (1e-6
+    // relative), within 20% above it.
     EXPECT_GE(greedy.value().solution.energy, opt - 1e-9) << trial;
     EXPECT_GE(best.value().energy, opt * (1.0 - 1e-6)) << trial;
     EXPECT_LE(greedy.value().solution.energy, opt * 1.2) << trial;
@@ -160,7 +168,12 @@ TEST(CrossSolver, TriCritForkPolyVsHeuristics) {
     ASSERT_TRUE(poly.is_ok()) << trial;
     ASSERT_TRUE(best.is_ok()) << trial;
     // The dedicated poly algorithm should never lose to the generic
-    // heuristics by more than numerical noise, and usually wins.
+    // heuristics by more than numerical noise (1e-3), and usually wins.
+    // best-of energies rest on discrete re-execution choices made on
+    // barrier slacks: a last-bit change in the barrier can flip a
+    // near-tied choice and move the energy by up to ~0.4%. The bounds
+    // here hold for either choice: a flip only ever moves best-of
+    // up from the optimum poly approximates.
     EXPECT_LE(poly.value().energy, best.value().energy * (1.0 + 1e-3)) << trial;
   }
 }

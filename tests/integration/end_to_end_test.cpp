@@ -110,6 +110,10 @@ TEST(EndToEnd, TriCritEnergyAtMostBiCritWithFrelFloor) {
     auto r_bi = api::solve(bi, "continuous-ipm");
     if (!r_bi.is_ok()) continue;
     ASSERT_TRUE(r_tri.is_ok()) << inst.name;
+    // best-of energies rest on discrete re-execution choices made on
+    // barrier slacks, and a near-tied choice can flip; but best-of keeps
+    // the all-single candidate, the same program as this BI-CRIT one, so
+    // 1e-4 only has to cover barrier tolerance.
     EXPECT_LE(r_tri.value().energy, r_bi.value().energy * (1.0 + 1e-4)) << inst.name;
   }
 }

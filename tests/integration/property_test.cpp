@@ -115,6 +115,9 @@ TEST_P(SolverPropertyTest, TriCritNeverWorseThanFrelFlooredBiCrit) {
   auto base = bicrit::solve_continuous(inst.dag, inst.mapping, D,
                                        model::SpeedModel::continuous(0.8, 1.0));
   if (base.is_ok()) {
+    // A near-tied re-execution choice can flip with the barrier's last
+    // bits, but best-of keeps the all-single candidate, this very program:
+    // 1e-4 only has to cover barrier tolerance.
     EXPECT_LE(tri.value().energy, base.value().energy * (1.0 + 1e-4));  // P4
   }
 }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "core/problem.hpp"
@@ -119,7 +120,9 @@ TEST(RecordLog, AppendPollRoundTrip) {
   ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
   std::vector<std::pair<RecordType, std::string>> seen;
   auto polled = reader.value().poll(
-      [&](RecordType type, const std::string& payload) { seen.emplace_back(type, payload); });
+      [&](RecordType type, const std::string& payload, std::uint64_t) {
+        seen.emplace_back(type, payload);
+      });
   ASSERT_TRUE(polled.is_ok());
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0].first, RecordType::kBlob);
@@ -208,7 +211,9 @@ TEST(SolveStore, PutFindAcrossReopen) {
 
 TEST(SolveStore, NearestSchedulePicksClosestDeadline) {
   const std::string path = temp_log_path("nearest");
-  auto st = open_or_die(options_for(path));
+  StoreOptions opt = options_for(path);
+  opt.warm_start = true;  // the only stores that index neighbours
+  auto st = open_or_die(std::move(opt));
   const api::InstanceDigest digest{1, 2};
   ASSERT_TRUE(st.put(digest, "i", "", bicrit_point(10.0), fake_result(10.0)).is_ok());
   ASSERT_TRUE(st.put(digest, "i", "", bicrit_point(20.0), fake_result(20.0)).is_ok());
@@ -328,6 +333,186 @@ TEST(SolveStoreIntegration, CorruptMidFileKeepsIntactPrefix) {
   EXPECT_EQ(st.stats().entries, 1u);  // prefix intact, corrupt record dropped
   EXPECT_NE(st.find(digest, "inst", "", bicrit_point(10.0)), nullptr);
   EXPECT_EQ(st.find(digest, "inst", "", bicrit_point(20.0)), nullptr);
+}
+
+/// The encoded bytes of a result: equal bytes mean bit-identical answers.
+std::string result_bytes(const SolveStore::StoredResult& result) {
+  return encode_entry(EntryRecord{1, "", PointKey{}, result});
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(RecordLog, Crc32MatchesTheStandardCheckValue) {
+  // CRC-32/IEEE of "123456789"; the log format depends on these exact bits.
+  EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+  // Chaining two halves equals one pass, across the 8-byte stride.
+  const std::string text = "the quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(crc32(text.data() + 13, text.size() - 13, crc32(text.data(), 13)),
+            crc32(text.data(), text.size()));
+}
+
+// A crash can stop an append at any byte. Cut a copy of the log at every
+// offset of its last blob+entry append: a reader keeps exactly the intact
+// prefix and reads every survivor back bit-identically; a writer cuts the
+// tail off and appends after it.
+TEST(SolveStoreIntegration, TornAppendAtEveryOffsetKeepsTheIntactPrefix) {
+  const std::string path = temp_log_path("torn_every_offset");
+  const std::string cut_path = temp_log_path("torn_every_offset_cut");
+  struct Stored {
+    api::InstanceDigest digest;
+    std::string bytes;
+    PointKey point;
+    SolveStore::StoredResult result;
+  };
+  std::vector<Stored> stored;
+  for (int i = 0; i < 4; ++i) {
+    stored.push_back(Stored{{100u + static_cast<std::uint64_t>(i), 7},
+                            "instance-" + std::to_string(i) + std::string(120, 'x'),
+                            bicrit_point(10.0 + i), fake_result(1.0 + i, 6)});
+  }
+  std::uint64_t before_last = 0;
+  std::uint64_t blob_end = 0;
+  {
+    auto st = open_or_die(options_for(path));
+    for (const Stored& s : stored) {
+      before_last = st.stats().file_bytes;
+      ASSERT_TRUE(st.put(s.digest, s.bytes, "", s.point, s.result).is_ok());
+    }
+    blob_end = before_last + 9 +
+               encode_blob(BlobRecord{4, stored.back().digest, stored.back().bytes}).size() +
+               4;
+  }
+  const std::string full = read_file(path);
+  ASSERT_GE(full.size() - before_last, 200u);
+  for (std::uint64_t cut = before_last; cut < full.size(); ++cut) {
+    write_file(cut_path, full.substr(0, static_cast<std::size_t>(cut)));
+    {
+      StoreOptions reader_opt = options_for(cut_path);
+      reader_opt.read_only = true;
+      auto reader = open_or_die(std::move(reader_opt));
+      EXPECT_EQ(reader.stats().entries, stored.size() - 1) << "cut " << cut;
+      EXPECT_EQ(reader.stats().blobs, stored.size() - (cut < blob_end ? 1 : 0))
+          << "cut " << cut;
+      for (std::size_t i = 0; i + 1 < stored.size(); ++i) {
+        const Stored& s = stored[i];
+        auto hit = reader.find(s.digest, s.bytes, "", s.point);
+        ASSERT_NE(hit, nullptr) << "cut " << cut << " entry " << i;
+        EXPECT_EQ(result_bytes(hit), result_bytes(s.result)) << "cut " << cut;
+      }
+      const Stored& lost = stored.back();
+      EXPECT_EQ(reader.find(lost.digest, lost.bytes, "", lost.point), nullptr);
+      EXPECT_EQ(reader.stats().read_corrupt, 0u);
+    }
+    {
+      auto writer = open_or_die(options_for(cut_path));
+      const std::uint64_t intact = cut < blob_end ? before_last : blob_end;
+      EXPECT_EQ(writer.stats().torn_bytes, cut - intact) << "cut " << cut;
+      EXPECT_EQ(writer.stats().file_bytes, intact) << "cut " << cut;
+      const Stored& lost = stored.back();
+      ASSERT_TRUE(writer.put(lost.digest, lost.bytes, "", lost.point, lost.result).is_ok());
+    }
+    auto reopened = open_or_die(options_for(cut_path));
+    const Stored& lost = stored.back();
+    auto hit = reopened.find(lost.digest, lost.bytes, "", lost.point);
+    ASSERT_NE(hit, nullptr) << "cut " << cut;
+    EXPECT_EQ(result_bytes(hit), result_bytes(lost.result));
+    EXPECT_EQ(reopened.stats().entries, stored.size());
+  }
+  std::remove(cut_path.c_str());
+}
+
+// Open scans the log a window (1 MiB) at a time: records straddling a
+// window edge, and one larger than a window, must come back whole, and a
+// torn tail must still be cut at the right byte.
+TEST(SolveStoreIntegration, LogsLongerThanTheScanWindowReopenWhole) {
+  const std::string path = temp_log_path("long_log");
+  const api::InstanceDigest big{41, 42};
+  const std::string big_bytes(3 << 19, 'b');  // 1.5 MiB: one record > a window
+  const api::InstanceDigest small{43, 44};
+  constexpr int kEntries = 6000;  // ~1.5 MiB of entries across window edges
+  {
+    auto st = open_or_die(options_for(path));
+    ASSERT_TRUE(st.put(big, big_bytes, "", bicrit_point(1.0), fake_result(1.0)).is_ok());
+    for (int i = 0; i < kEntries; ++i) {
+      ASSERT_TRUE(st.put(small, "small", "", bicrit_point(10.0 + i),
+                         fake_result(10.0 + i, 6))
+                      .is_ok());
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.write("\x02torn", 5);
+  }
+  StoreOptions reader_opt = options_for(path);
+  reader_opt.read_only = true;
+  {
+    auto reader = open_or_die(std::move(reader_opt));
+    EXPECT_EQ(reader.stats().entries, static_cast<std::size_t>(kEntries) + 1);
+    EXPECT_EQ(reader.stats().blobs, 2u);
+    ASSERT_NE(reader.find(big, big_bytes, "", bicrit_point(1.0)), nullptr);
+    for (int i : {0, 1777, 4321, kEntries - 1}) {
+      auto hit = reader.find(small, "small", "", bicrit_point(10.0 + i));
+      ASSERT_NE(hit, nullptr) << i;
+      EXPECT_EQ(result_bytes(hit), result_bytes(fake_result(10.0 + i, 6)));
+    }
+  }
+  auto stat = SolveStore::stat(path);
+  ASSERT_TRUE(stat.is_ok());
+  EXPECT_EQ(stat.value().torn_bytes, 5u);
+  auto writer = open_or_die(options_for(path));
+  EXPECT_EQ(writer.stats().torn_bytes, 5u);
+  EXPECT_EQ(writer.stats().entries, static_cast<std::size_t>(kEntries) + 1);
+}
+
+// Bytes that change on disk after open must never become an answer: the
+// read-back check turns them into a counted miss.
+TEST(SolveStoreIntegration, ReadBackCorruptionIsACountedMiss) {
+  const std::string path = temp_log_path("read_back_corrupt");
+  const api::InstanceDigest digest{31, 32};
+  std::uint64_t end = 0;
+  {
+    auto st = open_or_die(options_for(path));
+    ASSERT_TRUE(st.put(digest, "inst", "", bicrit_point(10.0), fake_result(1.0)).is_ok());
+    ASSERT_TRUE(st.put(digest, "inst", "", bicrit_point(20.0), fake_result(2.0)).is_ok());
+    end = st.stats().file_bytes;
+  }
+  auto st = open_or_die(options_for(path));
+  {
+    // Flip one byte of a schedule speed in the second (last) entry: the
+    // payload still decodes, so only its CRC can tell.
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(end) - 14);
+    f.put('\x5a');
+  }
+  EXPECT_EQ(st.find(digest, "inst", "", bicrit_point(20.0)), nullptr);
+  EXPECT_EQ(st.stats().read_corrupt, 1u);
+  // Dropped from the index: asking again reads nothing and counts nothing.
+  EXPECT_EQ(st.find(digest, "inst", "", bicrit_point(20.0)), nullptr);
+  EXPECT_EQ(st.stats().read_corrupt, 1u);
+  ASSERT_NE(st.find(digest, "inst", "", bicrit_point(10.0)), nullptr);
+  EXPECT_EQ(st.stats().served, 1u);
+  // The key can be stored again, and is then found.
+  ASSERT_TRUE(st.put(digest, "inst", "", bicrit_point(20.0), fake_result(2.0)).is_ok());
+  auto again = st.find(digest, "inst", "", bicrit_point(20.0));
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(result_bytes(again), result_bytes(fake_result(2.0)));
+  EXPECT_EQ(st.stats().read_corrupt, 1u);
+}
+
+TEST(SolveStore, NearestScheduleNeedsAWarmStartStore) {
+  const std::string path = temp_log_path("nearest_cold");
+  auto st = open_or_die(options_for(path));
+  const api::InstanceDigest digest{1, 2};
+  ASSERT_TRUE(st.put(digest, "i", "", bicrit_point(10.0), fake_result(10.0)).is_ok());
+  EXPECT_EQ(st.nearest_schedule(digest, "i", 10.0), nullptr);
 }
 
 TEST(SolveStoreIntegration, CompactionDropsOrphansAndSuperseded) {

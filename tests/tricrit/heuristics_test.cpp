@@ -166,6 +166,11 @@ TEST(Heuristics, CloseToExactOnSmallChains) {
     auto best = heuristic_best_of(dag, mapping, D, kRel, kSpeeds);
     ASSERT_TRUE(exact.is_ok()) << trial;
     ASSERT_TRUE(best.is_ok()) << trial;
+    // best-of energies rest on discrete re-execution choices made on
+    // barrier slacks: a last-bit change in the barrier can flip a
+    // near-tied choice and move the energy by up to ~0.4%. The bounds
+    // here hold for either choice: never below the exact optimum (1e-6
+    // relative), within 15% above it.
     EXPECT_GE(best.value().energy, exact.value().solution.energy * (1.0 - 1e-6)) << trial;
     EXPECT_LE(best.value().energy, exact.value().solution.energy * 1.15) << trial;
   }
@@ -231,6 +236,10 @@ TEST(HeuristicC, AtLeastAsGoodAsAandBOnSmallDags) {
     auto best = heuristic_best_of(dag, mapping, D, kRel, kSpeeds);
     if (!c.is_ok() || !best.is_ok()) continue;
     // The thorough variant should not lose by more than numerical noise.
+    // best-of energies rest on discrete re-execution choices made on
+    // barrier slacks: a last-bit change in the barrier can flip a
+    // near-tied choice and move the energy by up to ~0.4%. The bounds
+    // here hold for either choice: 2% covers a flip on either side.
     EXPECT_LE(c.value().energy, best.value().energy * 1.02) << trial;
   }
 }
