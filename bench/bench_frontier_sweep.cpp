@@ -54,8 +54,8 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-std::shared_ptr<const core::BiCritProblem> chain_problem(int tasks,
-                                                        const model::SpeedModel& speeds) {
+std::shared_ptr<const core::Problem> chain_problem(int tasks,
+                                                   const model::SpeedModel& speeds) {
   graph::Dag dag;
   for (int i = 0; i < tasks; ++i) {
     dag.add_task(1.0 + 0.1 * static_cast<double>(i % 7));
@@ -63,8 +63,8 @@ std::shared_ptr<const core::BiCritProblem> chain_problem(int tasks,
   }
   const auto mapping = sched::list_schedule(dag, 1, sched::PriorityPolicy::kCriticalPath);
   const double base = bench::fmax_makespan(dag, mapping, speeds.fmax());
-  return std::make_shared<const core::BiCritProblem>(std::move(dag), mapping, speeds,
-                                                     base * 4.0);
+  return std::make_shared<const core::Problem>(std::move(dag), mapping, speeds,
+                                               base * 4.0);
 }
 
 }  // namespace
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   fopt.max_points = 25;
 
   // Every sweep spans [D/4, D] of its problem's anchor deadline D.
-  const auto sweep_query = [&](std::shared_ptr<const core::BiCritProblem> problem,
+  const auto sweep_query = [&](std::shared_ptr<const core::Problem> problem,
                                const frontier::FrontierOptions& options) {
     const double deadline = problem->deadline;
     return engine::FrontierQuery::deadline(std::move(problem), deadline * 0.25, deadline,
@@ -101,15 +101,15 @@ int main(int argc, char** argv) {
 
   struct Sweep {
     std::string family;
-    std::shared_ptr<const core::BiCritProblem> problem;
+    std::shared_ptr<const core::Problem> problem;
     frontier::FrontierResult cold;
   };
   std::vector<Sweep> sweeps;
   for (const auto& inst : corpus) {
     const double base = bench::fmax_makespan(inst.dag, inst.mapping, speeds.fmax());
     sweeps.push_back({inst.name,
-                      std::make_shared<const core::BiCritProblem>(inst.dag, inst.mapping,
-                                                                  speeds, base * 4.0),
+                      std::make_shared<const core::Problem>(inst.dag, inst.mapping,
+                                                            speeds, base * 4.0),
                       {}});
   }
 
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   double resweep_total = 0.0;
   std::size_t resweep_mismatches = 0;
   for (auto& s : sweeps) {
-    auto perturbed = std::make_shared<core::BiCritProblem>(*s.problem);
+    auto perturbed = std::make_shared<core::Problem>(*s.problem);
     perturbed->dag.set_weight(0, perturbed->dag.weight(0) * 1.003);
 
     bench::Stopwatch cold_p_sw;
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   // solves inside its prefetch, so its win over a cold sweep is only the
   // batching of the adaptive rounds — report it, don't gate on it.
   {
-    auto perturbed2 = std::make_shared<core::BiCritProblem>(*sweeps.front().problem);
+    auto perturbed2 = std::make_shared<core::Problem>(*sweeps.front().problem);
     perturbed2->dag.set_weight(1, perturbed2->dag.weight(1) * 1.003);
     bench::Stopwatch first_touch_sw;
     const auto first = eng.resweep({sweeps.front().cold, sweep_query(perturbed2, fopt)});

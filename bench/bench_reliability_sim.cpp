@@ -15,6 +15,10 @@
 //    objective charges, and is strictly below it whenever the first
 //    execution can succeed (at f = 0.3 the clamped failure probability
 //    is 1, so every trial re-executes and actual == worst exactly).
+// The headline minima and maximum (min_single_reliability,
+// min_reexec_reliability, max_actual_over_worst) range over the rows
+// where a first execution can succeed: a certain-failure row reads 0, 0
+// and 1 whatever the model does, so it would pin them to constants.
 // The trials are seeded through sim::substream, so all of this is
 // deterministic — the gates check the model, not the dice.
 //
@@ -61,6 +65,7 @@ int main(int argc, char** argv) {
       const double analytic = rs.per_task[0].analytic_success;
       const double simulated = rs.per_task[0].success.estimate();
       const double reexec = rr.per_task[0].success.estimate();
+      const bool certain_failure = rs.per_task[0].first_failed.estimate() >= 1.0;
       // Doubled interval around the point estimate must contain the
       // analytic value (equivalently: |analytic - simulated| <= 2 *
       // the one-sided Wilson width on that side).
@@ -71,8 +76,10 @@ int main(int argc, char** argv) {
       if (reexec < simulated) reexec_ge_single = false;
       if (analytic < prev_analytic) monotone = false;
       prev_analytic = analytic;
-      min_single = std::min(min_single, simulated);
-      min_reexec = std::min(min_reexec, reexec);
+      if (!certain_failure) {
+        min_single = std::min(min_single, simulated);
+        min_reexec = std::min(min_reexec, reexec);
+      }
       table.add_row({common::format_fixed(f, 2), common::format_fixed(analytic, 5),
                      common::format_fixed(simulated, 5),
                      common::format_fixed(lo, 5), common::format_fixed(hi, 5),
@@ -101,7 +108,7 @@ int main(int argc, char** argv) {
       if (frac > 1.0 + 1e-12 || (!certain_failure && frac >= 1.0)) {
         actual_below_worst = false;
       }
-      max_actual_over_worst = std::max(max_actual_over_worst, frac);
+      if (!certain_failure) max_actual_over_worst = std::max(max_actual_over_worst, frac);
       table.add_row({common::format_fixed(f, 2), common::format_g(r.worst_case_energy),
                      common::format_g(r.actual_energy.mean()),
                      common::format_pct(frac)});

@@ -67,15 +67,15 @@ int main(int argc, char** argv) {
 
   struct Sweep {
     std::string family;
-    std::shared_ptr<const core::BiCritProblem> problem;
+    std::shared_ptr<const core::Problem> problem;
     frontier::FrontierResult cold;
   };
   std::vector<Sweep> sweeps;
   for (const auto& inst : corpus) {
     const double base = bench::fmax_makespan(inst.dag, inst.mapping, speeds.fmax());
     sweeps.push_back({inst.name,
-                      std::make_shared<const core::BiCritProblem>(inst.dag, inst.mapping,
-                                                                  speeds, base * 4.0),
+                      std::make_shared<const core::Problem>(inst.dag, inst.mapping,
+                                                            speeds, base * 4.0),
                       {}});
   }
   frontier::FrontierOptions fopt;

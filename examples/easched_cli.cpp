@@ -447,6 +447,14 @@ model::SpeedModel make_speeds(CliArgs& args) {
   return speeds;
 }
 
+/// The reliability model with threshold speed `frel` under the shared
+/// --lambda0/--dexp flags; nullopt (a BI-CRIT problem) without a `frel`.
+std::optional<model::ReliabilityModel> reliability_for(const CliArgs& args,
+                                                       std::optional<double> frel) {
+  if (!frel) return std::nullopt;
+  return model::ReliabilityModel(args.lambda0, args.dexp, args.fmin, args.fmax, *frel);
+}
+
 /// One engine per invocation: the declarative EngineConfig replaces the
 /// cache/store/thread plumbing every mode used to wire by hand.
 common::Result<engine::Engine> make_engine(const CliArgs& args) {
@@ -682,7 +690,14 @@ int run_frontier(CliArgs& args) {
   // The mode dispatch below returns from many points; run it inside a
   // lambda so the trace/cache/store epilogue runs exactly once either way.
   const int rc = [&]() -> int {
+  // A reliability sweep is TRI-CRIT at the axis maximum with the deadline
+  // fixed; a deadline sweep anchors the problem at dmax and is TRI-CRIT
+  // only with --frel.
   const bool reliability_mode = args.rmin && args.rmax;
+  std::optional<double> frel = args.frel;
+  double lo = 0.0;
+  double hi = 0.0;
+  double anchor = deadline;
   if (reliability_mode) {
     if (deadline <= 0.0) {
       std::cerr << "--rmin/--rmax sweeps need a fixed --deadline\n";
@@ -692,85 +707,39 @@ int run_frontier(CliArgs& args) {
       std::cerr << "--rmin/--rmax must satisfy fmin <= rmin <= rmax <= fmax\n";
       return 2;
     }
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.rmax);
-    const auto problem = std::make_shared<const core::TriCritProblem>(
-        dag.value(), mapping, speeds, rel, deadline);
-    if (!args.solvers.empty()) {
-      const auto query =
-          engine::FrontierQuery::reliability(problem, *args.rmin, *args.rmax, fopt);
-      return emit_comparison(eng.compare(query, args.solvers), args);
+    frel = *args.rmax;
+    lo = *args.rmin;
+    hi = *args.rmax;
+  } else {
+    if (!args.dmin || !args.dmax || *args.dmin <= 0.0 || *args.dmin > *args.dmax) {
+      std::cerr << "frontier mode needs --dmin/--dmax (0 < dmin <= dmax) or "
+                   "--deadline with --rmin/--rmax\n";
+      return 2;
     }
-    if (args.resweep) {
-      auto prev = eng.sweep(
-          engine::FrontierQuery::reliability(problem, *args.rmin, *args.rmax, fopt));
-      const auto changed = std::make_shared<const core::TriCritProblem>(
-          *new_dag, *new_mapping, speeds, rel, deadline);
-      return emit_frontier(
-          submit_resweep(std::move(prev), engine::FrontierQuery::reliability(
-                                              changed, *args.rmin, *args.rmax, fopt)),
-          args);
-    }
-    return emit_frontier(submit_sweep(engine::FrontierQuery::reliability(
-                             problem, *args.rmin, *args.rmax, fopt)),
-                         args);
-  }
-
-  if (!args.dmin || !args.dmax || *args.dmin <= 0.0 || *args.dmin > *args.dmax) {
-    std::cerr << "frontier mode needs --dmin/--dmax (0 < dmin <= dmax) or "
-                 "--deadline with --rmin/--rmax\n";
-    return 2;
-  }
-  const double dmin = *args.dmin * slack;
-  const double dmax = *args.dmax * slack;
-  if (args.frel) {
-    // TRI-CRIT deadline sweep: the reliability threshold stays fixed at
-    // --frel while the deadline axis is swept.
-    if (*args.frel < args.fmin || *args.frel > args.fmax) {
+    if (frel && (*frel < args.fmin || *frel > args.fmax)) {
       std::cerr << "--frel must lie in [fmin, fmax]\n";
       return 2;
     }
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.frel);
-    const auto problem = std::make_shared<const core::TriCritProblem>(
-        dag.value(), mapping, speeds, rel, dmax);
-    if (!args.solvers.empty()) {
-      return emit_comparison(
-          eng.compare(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt),
-                      args.solvers),
-          args);
-    }
-    if (args.resweep) {
-      auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
-      const auto changed = std::make_shared<const core::TriCritProblem>(
-          *new_dag, *new_mapping, speeds, rel, dmax);
-      return emit_frontier(
-          submit_resweep(std::move(prev),
-                         engine::FrontierQuery::deadline(changed, dmin, dmax, fopt)),
-          args);
-    }
-    return emit_frontier(
-        submit_sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt)), args);
+    lo = *args.dmin * slack;
+    hi = *args.dmax * slack;
+    anchor = hi;
   }
-  const auto problem =
-      std::make_shared<const core::BiCritProblem>(dag.value(), mapping, speeds, dmax);
+  const std::optional<model::ReliabilityModel> rel = reliability_for(args, frel);
+  auto query_for = [&](const graph::Dag& d, const sched::Mapping& m) {
+    auto problem = std::make_shared<const core::Problem>(d, m, speeds, rel, anchor);
+    return reliability_mode ? engine::FrontierQuery::reliability(problem, lo, hi, fopt)
+                            : engine::FrontierQuery::deadline(problem, lo, hi, fopt);
+  };
   if (!args.solvers.empty()) {
-    return emit_comparison(
-        eng.compare(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt),
-                    args.solvers),
-        args);
+    return emit_comparison(eng.compare(query_for(dag.value(), mapping), args.solvers),
+                           args);
   }
   if (args.resweep) {
-    auto prev = eng.sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt));
-    const auto changed = std::make_shared<const core::BiCritProblem>(
-        *new_dag, *new_mapping, speeds, dmax);
-    return emit_frontier(
-        submit_resweep(std::move(prev),
-                       engine::FrontierQuery::deadline(changed, dmin, dmax, fopt)),
-        args);
+    auto prev = eng.sweep(query_for(dag.value(), mapping));
+    return emit_frontier(submit_resweep(std::move(prev), query_for(*new_dag, *new_mapping)),
+                         args);
   }
-  return emit_frontier(
-      submit_sweep(engine::FrontierQuery::deadline(problem, dmin, dmax, fopt)), args);
+  return emit_frontier(submit_sweep(query_for(dag.value(), mapping)), args);
   }();
 
   // Epilogue, on every dispatch path: trace dump, and the cache/store
@@ -867,15 +836,9 @@ int run_batch(CliArgs& args, double effective_deadline) {
     const model::SpeedModel speeds = make_speeds(args);
     api::BatchJob job;
     job.family = path;
-    if (args.frel) {
-      model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                  *args.frel);
-      job.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, effective_deadline);
-    } else {
-      job.bicrit = std::make_shared<const core::BiCritProblem>(
-          std::move(dag).take(), mapping, speeds, effective_deadline);
-    }
+    job.problem = std::make_shared<const core::Problem>(
+        std::move(dag).take(), mapping, speeds, reliability_for(args, args.frel),
+        effective_deadline);
     jobs.push_back(std::move(job));
   }
 
@@ -892,10 +855,8 @@ int run_batch(CliArgs& args, double effective_deadline) {
     std::vector<engine::Engine::SolveHandle> handles;
     handles.reserve(jobs.size());
     for (const auto& job : jobs) {
-      handles.push_back(eng.submit(
-          job.bicrit != nullptr
-              ? engine::SolveQuery(job.bicrit, args.solver_name, args.options)
-              : engine::SolveQuery(job.tricrit, args.solver_name, args.options)));
+      handles.push_back(
+          eng.submit(engine::SolveQuery(job.problem, args.solver_name, args.options)));
     }
     std::vector<common::Result<api::SolveReport>> results;
     results.reserve(handles.size());
@@ -960,23 +921,13 @@ int run_solve(CliArgs& args) {
   }
   engine::Engine& eng = created.value();
 
-  common::Result<api::SolveReport> result = common::Status::internal("unsolved");
-  if (args.frel) {
-    model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                *args.frel);
-    core::TriCritProblem p(dag.value(), mapping, speeds, rel, effective_deadline);
-    result = eng.solve(p, args.solver_name, args.options);
-    if (result.is_ok() && !p.check(result.value().schedule).is_ok()) {
-      std::cerr << "internal error: schedule failed validation\n";
-      return 1;
-    }
-  } else {
-    core::BiCritProblem p(dag.value(), mapping, speeds, effective_deadline);
-    result = eng.solve(p, args.solver_name, args.options);
-    if (result.is_ok() && !p.check(result.value().schedule).is_ok()) {
-      std::cerr << "internal error: schedule failed validation\n";
-      return 1;
-    }
+  const core::Problem p(dag.value(), mapping, speeds, reliability_for(args, args.frel),
+                        effective_deadline);
+  const common::Result<api::SolveReport> result =
+      eng.solve(p, args.solver_name, args.options);
+  if (result.is_ok() && !p.check(result.value().schedule).is_ok()) {
+    std::cerr << "internal error: schedule failed validation\n";
+    return 1;
   }
   if (!result.is_ok()) {
     std::cerr << "solve failed: " << result.status().to_string() << "\n";
@@ -1219,18 +1170,10 @@ int run_metrics(CliArgs& args) {
     const auto mapping = sched::list_schedule(dag.value(), args.processors,
                                               sched::PriorityPolicy::kCriticalPath);
     const model::SpeedModel speeds = make_speeds(args);
-    common::Result<api::SolveReport> result = common::Status::internal("unsolved");
-    if (args.frel) {
-      model::ReliabilityModel rel(args.lambda0, args.dexp, args.fmin, args.fmax,
-                                  *args.frel);
-      core::TriCritProblem p(std::move(dag).take(), mapping, speeds,
-                             rel, effective_deadline);
-      result = eng.solve(p, args.solver_name, args.options);
-    } else {
-      core::BiCritProblem p(std::move(dag).take(), mapping, speeds,
-                            effective_deadline);
-      result = eng.solve(p, args.solver_name, args.options);
-    }
+    const core::Problem p(std::move(dag).take(), mapping, speeds,
+                          reliability_for(args, args.frel), effective_deadline);
+    const common::Result<api::SolveReport> result =
+        eng.solve(p, args.solver_name, args.options);
     if (!result.is_ok()) {
       std::cerr << path << ": solve failed: " << result.status().to_string() << "\n";
       ++failed;
@@ -1329,9 +1272,10 @@ int run_serve(CliArgs& args) {
   return 0;
 }
 
-/// Builds the wire problem from the shared CLI flags + a dag file's text.
+/// Builds the wire problem from the shared CLI flags + a dag file's text;
+/// TRI-CRIT with threshold speed `frel` when one is given.
 serve::ProblemSpec make_problem_spec(const CliArgs& args, std::string dag_text,
-                                     double deadline) {
+                                     double deadline, std::optional<double> frel) {
   serve::ProblemSpec spec;
   spec.dag_text = std::move(dag_text);
   spec.processors = args.processors;
@@ -1345,11 +1289,11 @@ serve::ProblemSpec make_problem_spec(const CliArgs& args, std::string dag_text,
     spec.fmax = args.fmax;
   }
   spec.deadline = deadline;
-  if (args.frel) {
+  if (frel) {
     spec.tricrit = true;
     spec.lambda0 = args.lambda0;
     spec.dexp = args.dexp;
-    spec.frel = *args.frel;
+    spec.frel = *frel;
   }
   return spec;
 }
@@ -1427,8 +1371,8 @@ int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args
     }
     const double effective_deadline = args.deadline * args.options.deadline_slack;
     serve::SolveRequest request;
-    request.problem =
-        make_problem_spec(args, std::move(dag_text).take(), effective_deadline);
+    request.problem = make_problem_spec(args, std::move(dag_text).take(),
+                                        effective_deadline, args.frel);
     request.solver = args.solver_name;
     request.job_deadline_ms = args.job_deadline_ms;
     auto response = client.solve(std::move(request));
@@ -1456,12 +1400,13 @@ int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args
         std::cerr << "remote sweep --rmin/--rmax needs a fixed --deadline\n";
         return 2;
       }
-      if (!args.frel) args.frel = *args.rmax;  // reliability sweeps are TRI-CRIT
       request.axis = serve::WireAxis::kReliability;
       request.lo = *args.rmin;
       request.hi = *args.rmax;
+      // Reliability sweeps are TRI-CRIT; the daemon sets frel per probe.
       request.problem = make_problem_spec(args, std::move(dag_text).take(),
-                                          args.deadline * slack);
+                                          args.deadline * slack,
+                                          args.frel ? args.frel : args.rmax);
     } else {
       if (!args.dmin || !args.dmax || *args.dmin <= 0.0 || *args.dmin > *args.dmax) {
         std::cerr << "remote sweep needs --dmin/--dmax (0 < dmin <= dmax) or "
@@ -1472,7 +1417,7 @@ int run_remote(const std::string& endpoint, const std::string& op, CliArgs& args
       request.lo = *args.dmin * slack;
       request.hi = *args.dmax * slack;
       request.problem =
-          make_problem_spec(args, std::move(dag_text).take(), request.hi);
+          make_problem_spec(args, std::move(dag_text).take(), request.hi, args.frel);
     }
     request.initial_points = args.points;
     request.max_points = args.max_points;

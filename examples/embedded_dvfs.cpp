@@ -48,9 +48,9 @@ int main() {
 
   double cont_energy = 0.0;
   {
-    core::BiCritProblem p(dag, mapping,
-                          model::SpeedModel::continuous(levels.front(), levels.back()),
-                          deadline);
+    core::Problem p(dag, mapping,
+                    model::SpeedModel::continuous(levels.front(), levels.back()),
+                    deadline);
     auto r = eng.solve(p);
     if (!r.is_ok()) {
       std::cerr << "continuous failed: " << r.status().to_string() << "\n";
@@ -61,7 +61,7 @@ int main() {
                    common::format_ratio(1.0), common::format_fixed(r.value().wall_ms, 2)});
   }
   {
-    core::BiCritProblem p(dag, mapping, model::SpeedModel::vdd_hopping(levels), deadline);
+    core::Problem p(dag, mapping, model::SpeedModel::vdd_hopping(levels), deadline);
     auto r = eng.solve(p);
     if (r.is_ok()) {
       table.add_row({"VDD-HOPPING", r.value().solver, common::format_g(r.value().energy),
@@ -71,7 +71,7 @@ int main() {
   }
   {
     const auto inc = model::SpeedModel::incremental(levels.front(), levels.back(), 0.05);
-    core::BiCritProblem p(dag, mapping, inc, deadline);
+    core::Problem p(dag, mapping, inc, deadline);
     api::SolveOptions opts;
     opts.approx_K = 50;
     auto r = eng.solve(p, "incremental-approx", opts);
@@ -83,7 +83,7 @@ int main() {
     }
   }
   {
-    core::BiCritProblem p(dag, mapping, model::SpeedModel::discrete(levels), deadline);
+    core::Problem p(dag, mapping, model::SpeedModel::discrete(levels), deadline);
     auto r = eng.solve(p);
     if (r.is_ok()) {
       table.add_row({"DISCRETE (XScale)", r.value().solver,

@@ -41,7 +41,7 @@ int main() {
       graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan;
   const double deadline = fmax_ms / rel.frel() * 2.2;
 
-  core::TriCritProblem problem(dag, mapping, speeds, rel, deadline);
+  core::Problem problem(dag, mapping, speeds, rel, deadline);
   auto best = eng.solve(problem, "best-of");
   if (!best.is_ok()) {
     std::cerr << "solve failed: " << best.status().to_string() << "\n";
@@ -55,8 +55,8 @@ int main() {
             << "validator: " << problem.check(best.value().schedule).to_string() << "\n\n";
 
   // Compare against the no-re-execution baseline (all singles at >= frel).
-  core::BiCritProblem baseline(dag, mapping, model::SpeedModel::continuous(0.8, 1.0),
-                               deadline);
+  core::Problem baseline(dag, mapping, model::SpeedModel::continuous(0.8, 1.0),
+                         deadline);
   auto base = eng.solve(baseline, "continuous-ipm");
   if (base.is_ok()) {
     std::cout << "baseline (no re-execution, speeds >= frel): energy "

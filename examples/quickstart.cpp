@@ -4,7 +4,7 @@
 //   $ ./examples/quickstart
 //
 // Walks through the public API: Dag -> Mapping (list scheduling) ->
-// BiCritProblem -> engine::Engine (the one context owning the solver
+// core::Problem -> engine::Engine (the one context owning the solver
 // registry, result cache and worker pool) -> validated Schedule. One
 // engine per process is the intended shape; it serves synchronous calls
 // (engine.solve) and asynchronous jobs (engine.submit) alike.
@@ -59,7 +59,7 @@ int main() {
   //    applicable solver for the instance's structure and speed model.
   //    submit() returns a future-style JobHandle; get() joins it (the
   //    synchronous shorthand is eng.solve(problem)).
-  core::BiCritProblem problem(dag, mapping, model::SpeedModel::continuous(0.2, 1.0), 10.0);
+  core::Problem problem(dag, mapping, model::SpeedModel::continuous(0.2, 1.0), 10.0);
   auto job = eng.submit(engine::SolveQuery(problem));
   auto result = job.get();
   if (!result.is_ok()) {

@@ -62,7 +62,7 @@ int main() {
   //    The observer streams each point as the sweep discovers it —
   //    exactly what an incremental plot (or an early-stopping driver)
   //    would consume.
-  core::BiCritProblem bicrit(dag, mapping, speeds, 30.0);
+  core::Problem bicrit(dag, mapping, speeds, 30.0);
   std::mutex stream_mutex;
   auto deadline_query = engine::FrontierQuery::deadline(bicrit, 8.0, 30.0, options);
   deadline_query.observer = [&stream_mutex](const frontier::FrontierPoint& p) {
@@ -77,7 +77,7 @@ int main() {
   //    the threshold speed frel shows energy climbing as the reliability
   //    requirement tightens (re-executions appear and speeds rise).
   const model::ReliabilityModel rel = model::default_reliability(0.2, 1.0, 0.9);
-  core::TriCritProblem tricrit(dag, mapping, speeds, rel, 24.0);
+  core::Problem tricrit(dag, mapping, speeds, rel, 24.0);
   auto reliability_job =
       eng.submit(engine::FrontierQuery::reliability(tricrit, 0.3, 0.9, options));
 
@@ -104,9 +104,9 @@ int main() {
   //    & bound and the greedy rounding heuristic sweep the same axis: the
   //    greedy matches where rounding is benign and B&B pulls ahead where
   //    the level choice gets combinatorial.
-  core::BiCritProblem discrete(dag, mapping,
-                               model::SpeedModel::discrete(model::xscale_levels()),
-                               30.0);
+  core::Problem discrete(dag, mapping,
+                         model::SpeedModel::discrete(model::xscale_levels()),
+                         30.0);
   const auto comparison =
       eng.compare(engine::FrontierQuery::deadline(discrete, 8.0, 30.0, options),
                   {"discrete-bnb", "discrete-greedy"});

@@ -62,7 +62,7 @@ int main() {
   common::Table table({"deadline", "E_closed_form", "W^3/D^2", "E_interior_point",
                        "speed(stage_in)", "speed(c1)"});
   for (double D : {8.0, 10.0, 14.0, 20.0, 30.0}) {
-    core::BiCritProblem problem(dag, mapping, speeds, D);
+    core::Problem problem(dag, mapping, speeds, D);
     auto cf = eng.solve(problem, "closed-form-sp");
     auto ipm = eng.solve(problem, "continuous-ipm");
     if (!cf.is_ok() || !ipm.is_ok()) {

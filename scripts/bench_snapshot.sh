@@ -5,10 +5,10 @@
 # the per-metric *medians* to BENCH_frontier.json at the repo root —
 # cold/warm sweeps, perturbed-instance resweeps, the warm-lookup scaling
 # curve, restart-with-store replay, engine batch throughput and its
-# metrics-on/off overhead, the solver-family accuracy/speed headlines, and the
-# serving tier's warm-daemon throughput and overload-shedding numbers,
-# the online-policy competitive ratios vs the offline oracle, and the
-# reliability simulator's model-vs-Monte-Carlo headlines.
+# metrics-on/off overhead, the solver-family accuracy/speed headlines, the
+# online-policy competitive ratios vs the offline oracle, and the
+# reliability simulator's model-vs-Monte-Carlo headlines. The serving
+# tier is measured through the real daemon by perfbench/, not here.
 # Future PRs diff their own snapshot against the committed numbers
 # instead of eyeballing one noisy run.
 #
@@ -27,7 +27,7 @@ build_dir="${2:-$repo_root/build-bench}"
 
 benches=(bench_frontier_sweep bench_store_restart bench_batch_throughput
          bench_fork_closed_form bench_sp_closed_form bench_vdd_lp
-         bench_serve_load bench_sim_policies bench_reliability_sim)
+         bench_sim_policies bench_reliability_sim)
 
 cmake -B "$build_dir" -S "$repo_root" \
   -DCMAKE_BUILD_TYPE=Release \
@@ -71,7 +71,6 @@ batch = load("bench_batch_throughput")
 fork_cf = load("bench_fork_closed_form")
 sp_cf = load("bench_sp_closed_form")
 vdd = load("bench_vdd_lp")
-serve = load("bench_serve_load")
 sim_pol = load("bench_sim_policies")
 rel_sim = load("bench_reliability_sim")
 
@@ -134,19 +133,6 @@ snapshot = {
             "max_disc_over_cont": med(vdd, "max_disc_over_cont"),
             "sandwich_ok": all(s["sandwich_ok"] for s in vdd),
         },
-    },
-    # serving tier (bench_serve_load): warm daemon vs per-process solves,
-    # plus admission control under a 2x-overload burst
-    "serve_load": {
-        "cold_req_per_sec": med(serve, "cold_req_per_sec"),
-        "warm_req_per_sec": med(serve, "warm_req_per_sec"),
-        "warm_speedup": med(serve, "warm_speedup"),
-        "warm_p50_ms": med(serve, "warm_p50_ms"),
-        "warm_p99_ms": med(serve, "warm_p99_ms"),
-        "overload_requests": serve[0]["overload_requests"],
-        "overload_shed": med(serve, "overload_shed"),
-        "overload_shed_rate": med(serve, "overload_shed_rate"),
-        "overload_accepted_p99_ms": med(serve, "overload_accepted_p99_ms"),
     },
     # online simulator (bench_sim_policies): empirical competitive ratios
     # of the event-driven DVFS policies vs the clairvoyant offline oracle.

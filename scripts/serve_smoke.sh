@@ -6,9 +6,10 @@
 # clean SIGTERM shutdown, restarts the daemon on the same store and
 # requires the first solve's answer byte for byte, read back from the
 # store with no solver call, checks a --trace-out run emits Chrome
-# trace_event JSON replaying the job lifecycle, then runs the
-# bench_serve_load replay trace (warm-vs-cold and overload-shedding
-# acceptance bars included). scripts/ci.sh runs this as its serve stage.
+# trace_event JSON replaying the job lifecycle. A TRI-CRIT solve (--frel)
+# and a reliability-axis sweep (--rmin/--rmax) sent through the daemon
+# must match the local CLI on the same DAG. scripts/ci.sh runs this as
+# its serve stage.
 #
 #   scripts/serve_smoke.sh [build-dir]
 #
@@ -21,8 +22,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-check}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build "$build_dir" -j "$(nproc)" \
-  --target easched_cli bench_serve_load > /dev/null
+cmake --build "$build_dir" -j "$(nproc)" --target easched_cli > /dev/null
 
 tmp_dir="$(mktemp -d)"
 daemon_pid=""
@@ -162,6 +162,29 @@ for name in easched_serve_problem_memo_hits_total \
 done
 echo "serve_smoke: repeat solve served from the memo and the cache"
 
+# ---- TRI-CRIT over the wire matches the local CLI -----------------------
+# A --frel solve and a reliability-axis sweep take the daemon's TRI-CRIT
+# path; each must report what the local CLI computes on the same DAG: the
+# solve's solver/energy/makespan lines and the sweep's frontier table.
+solve_lines() { grep -E '^(solver|energy|makespan):' "$1"; }
+table_lines() { sed '/^$/q' "$1"; }
+"$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
+  --deadline 20 --frel 0.8 > "$tmp_dir/tri_remote.out"
+"$build_dir/easched_cli" "$tmp_dir/smoke.dag" --deadline 20 --frel 0.8 \
+  > "$tmp_dir/tri_local.out"
+grep -q '^re-executed tasks:' "$tmp_dir/tri_local.out"
+cmp <(solve_lines "$tmp_dir/tri_remote.out") <(solve_lines "$tmp_dir/tri_local.out")
+
+"$build_dir/easched_cli" remote "127.0.0.1:$port" sweep "$tmp_dir/smoke.dag" \
+  --deadline 20 --rmin 0.5 --rmax 0.9 --points 5 --max-points 9 \
+  > "$tmp_dir/rel_remote.out"
+"$build_dir/easched_cli" frontier "$tmp_dir/smoke.dag" \
+  --deadline 20 --rmin 0.5 --rmax 0.9 --points 5 --max-points 9 \
+  > "$tmp_dir/rel_local.out"
+grep -q '^frontier: [1-9][0-9]* points' "$tmp_dir/rel_remote.out"
+cmp <(table_lines "$tmp_dir/rel_remote.out") <(table_lines "$tmp_dir/rel_local.out")
+echo "serve_smoke: remote TRI-CRIT solve and reliability sweep match the local CLI"
+
 # ---- clean SIGTERM shutdown ---------------------------------------------
 stop_daemon "$tmp_dir/daemon.log"
 echo "serve_smoke: clean shutdown"
@@ -209,7 +232,4 @@ PY
   --no-metrics > "$tmp_dir/sweep_off.csv"
 cmp "$tmp_dir/sweep_on.csv" "$tmp_dir/sweep_off.csv"
 echo "serve_smoke: trace + bit-identity OK"
-
-# ---- replay load bench (its acceptance bars gate) -----------------------
-"$build_dir/bench_serve_load" --json-out "$tmp_dir/serve_load.json"
 echo "serve_smoke: OK"

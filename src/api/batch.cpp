@@ -34,8 +34,8 @@ std::vector<BatchJob> corpus_bicrit_jobs(const std::vector<core::Instance>& corp
     const double deadline = core::deadline_with_slack(inst, speeds.fmax(), slack_factor);
     BatchJob job;
     job.family = inst.name;
-    job.bicrit = std::make_shared<const core::BiCritProblem>(inst.dag, inst.mapping,
-                                                             speeds, deadline);
+    job.problem =
+        std::make_shared<const core::Problem>(inst.dag, inst.mapping, speeds, deadline);
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -52,8 +52,8 @@ std::vector<BatchJob> corpus_tricrit_jobs(const std::vector<core::Instance>& cor
         core::deadline_with_slack(inst, speeds.fmax(), slack_factor) / reliability.frel();
     BatchJob job;
     job.family = inst.name;
-    job.tricrit = std::make_shared<const core::TriCritProblem>(
-        inst.dag, inst.mapping, speeds, reliability, deadline);
+    job.problem = std::make_shared<const core::Problem>(inst.dag, inst.mapping, speeds,
+                                                        reliability, deadline);
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -24,12 +24,11 @@ namespace easched::api {
 
 /// One unit of batch work: a problem plus its aggregation key. Problems
 /// are shared_ptrs so a corpus can be built once and sliced into many
-/// batches without copies. Exactly one of bicrit/tricrit must be set.
+/// batches without copies.
 struct BatchJob {
   std::string family;  ///< aggregation key (e.g. the corpus family tag)
   std::string solver;  ///< per-job solver override; empty = batch-level policy
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
+  std::shared_ptr<const core::Problem> problem;
 };
 
 /// Welford aggregates of one family's solved instances.

@@ -74,7 +74,7 @@ class ChainExactSolver final : public ChainSolverBase {
   common::Result<tricrit::ChainSolution> run_chain(
       const std::vector<double>& weights, const SolveRequest& request) const override {
     return tricrit::solve_chain_exact(weights, request.deadline(),
-                                      request.tricrit->reliability, request.speeds());
+                                      *request.problem->reliability, request.speeds());
   }
   bool is_exact() const noexcept override { return true; }
 };
@@ -96,7 +96,7 @@ class ChainGreedySolver final : public ChainSolverBase {
   common::Result<tricrit::ChainSolution> run_chain(
       const std::vector<double>& weights, const SolveRequest& request) const override {
     return tricrit::solve_chain_greedy(weights, request.deadline(),
-                                       request.tricrit->reliability, request.speeds());
+                                       *request.problem->reliability, request.speeds());
   }
 };
 
@@ -119,7 +119,7 @@ class ChainBnbSolver final : public ChainSolverBase {
     const long long max_nodes =
         request.options.max_nodes > 0 ? request.options.max_nodes : 5'000'000;
     return tricrit::solve_chain_bnb(weights, request.deadline(),
-                                    request.tricrit->reliability, request.speeds(),
+                                    *request.problem->reliability, request.speeds(),
                                     max_nodes);
   }
   bool is_exact() const noexcept override { return true; }
@@ -150,7 +150,7 @@ class ForkPolySolver final : public Solver {
       return common::Status::unsupported("fork-poly needs a fork graph");
     }
     auto r = tricrit::solve_fork_tricrit(request.dag(), request.deadline(),
-                                         request.tricrit->reliability, request.speeds(),
+                                         *request.problem->reliability, request.speeds(),
                                          request.options.fork_grid);
     if (!r.is_ok()) return r.status();
     return report_from(std::move(r.value().solution));
@@ -187,16 +187,17 @@ class HeuristicSolver final : public Solver {
   common::Result<SolveReport> do_run(const SolveRequest& request) const override {
     tricrit::HeuristicOptions opts;
     opts.polish = request.options.polish;
-    const auto& p = *request.tricrit;
+    const core::Problem& p = *request.problem;
+    const model::ReliabilityModel& rel = *p.reliability;
     auto r = kind == HeuristicKind::kUniform
                  ? tricrit::heuristic_uniform_reexec(p.dag, p.mapping, request.deadline(),
-                                                     p.reliability, p.speeds, opts)
+                                                     rel, p.speeds, opts)
                  : kind == HeuristicKind::kSlack
                        ? tricrit::heuristic_slack_reexec(p.dag, p.mapping,
                                                          request.deadline(),
-                                                         p.reliability, p.speeds, opts)
+                                                         rel, p.speeds, opts)
                        : tricrit::heuristic_best_of(p.dag, p.mapping, request.deadline(),
-                                                    p.reliability, p.speeds, opts);
+                                                    rel, p.speeds, opts);
     if (!r.is_ok()) return r.status();
     return report_from(std::move(r.value()));
   }
@@ -220,15 +221,16 @@ class VddAdaptSolver final : public Solver {
 
  protected:
   common::Result<SolveReport> do_run(const SolveRequest& request) const override {
-    const auto& p = *request.tricrit;
+    const core::Problem& p = *request.problem;
+    const model::ReliabilityModel& rel = *p.reliability;
     const auto continuous =
         model::SpeedModel::continuous(p.speeds.fmin(), p.speeds.fmax());
     tricrit::HeuristicOptions opts;
     opts.polish = request.options.polish;
     auto cont = tricrit::heuristic_best_of(p.dag, p.mapping, request.deadline(),
-                                           p.reliability, continuous, opts);
+                                           rel, continuous, opts);
     if (!cont.is_ok()) return cont.status();
-    auto adapted = tricrit::adapt_to_vdd(p.dag, cont.value(), p.reliability, p.speeds);
+    auto adapted = tricrit::adapt_to_vdd(p.dag, cont.value(), rel, p.speeds);
     if (!adapted.is_ok()) return adapted.status();
     auto report = report_from(std::move(adapted.value().solution));
     report.iterations = adapted.value().tightened_tasks;

@@ -108,8 +108,8 @@ std::string instance_bytes(const SolveRequest& request) {
   append_dag(out, request.dag());
   append_mapping(out, request.mapping());
   append_speeds(out, request.speeds());
-  if (request.kind() == ProblemKind::kTriCrit) {
-    append_reliability_statics(out, request.tricrit->reliability);
+  if (request.problem->reliability) {
+    append_reliability_statics(out, *request.problem->reliability);
   }
   return out;
 }
@@ -157,9 +157,9 @@ InstanceDigest instance_digest(const SolveRequest& request) {
 void append_point_bytes(std::string& out, const SolveRequest& request) {
   append_tag(out, 'D');
   append_double(out, request.deadline());
-  if (request.kind() == ProblemKind::kTriCrit) {
+  if (request.problem->reliability) {
     append_tag(out, 'F');
-    append_double(out, request.tricrit->reliability.frel());
+    append_double(out, request.problem->reliability->frel());
   }
   append_tag(out, 'N');
   append_i64(out, static_cast<long long>(request.solver.size()));

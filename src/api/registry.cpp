@@ -97,23 +97,13 @@ common::Result<SolveReport> solve(const SolveRequest& request) {
   return solver->run(request);
 }
 
-common::Result<SolveReport> solve(const core::BiCritProblem& problem,
+common::Result<SolveReport> solve(const core::Problem& problem,
                                   const SolveOptions& options) {
   return solve(SolveRequest(problem, {}, options));
 }
 
-common::Result<SolveReport> solve(const core::BiCritProblem& problem,
-                                  std::string_view solver, const SolveOptions& options) {
-  return solve(SolveRequest(problem, std::string(solver), options));
-}
-
-common::Result<SolveReport> solve(const core::TriCritProblem& problem,
+common::Result<SolveReport> solve(const core::Problem& problem, std::string_view solver,
                                   const SolveOptions& options) {
-  return solve(SolveRequest(problem, {}, options));
-}
-
-common::Result<SolveReport> solve(const core::TriCritProblem& problem,
-                                  std::string_view solver, const SolveOptions& options) {
   return solve(SolveRequest(problem, std::string(solver), options));
 }
 

@@ -67,19 +67,11 @@ class SolverRegistry {
 /// unknown names) or capability auto-selection, then the solver run.
 common::Result<SolveReport> solve(const SolveRequest& request);
 
-/// Auto-selected solve of a BI-CRIT instance.
-common::Result<SolveReport> solve(const core::BiCritProblem& problem,
+/// Auto-selected solve of a BI-CRIT or TRI-CRIT instance.
+common::Result<SolveReport> solve(const core::Problem& problem,
                                   const SolveOptions& options = {});
 /// Solve with an explicit registry solver name.
-common::Result<SolveReport> solve(const core::BiCritProblem& problem,
-                                  std::string_view solver,
-                                  const SolveOptions& options = {});
-
-/// Auto-selected solve of a TRI-CRIT instance.
-common::Result<SolveReport> solve(const core::TriCritProblem& problem,
-                                  const SolveOptions& options = {});
-common::Result<SolveReport> solve(const core::TriCritProblem& problem,
-                                  std::string_view solver,
+common::Result<SolveReport> solve(const core::Problem& problem, std::string_view solver,
                                   const SolveOptions& options = {});
 
 }  // namespace easched::api

@@ -16,19 +16,14 @@ GraphClass classify_structure(const graph::Dag& dag) {
 
 common::Status SolveRequest::validate() const {
   if (validated_) return common::Status::ok();
-  if (bicrit == nullptr && tricrit == nullptr) {
-    return common::Status::invalid("request carries no problem");
-  }
-  if (bicrit != nullptr && tricrit != nullptr) {
-    return common::Status::invalid("request carries both a BI-CRIT and a TRI-CRIT problem");
-  }
+  if (problem == nullptr) return common::Status::invalid("request carries no problem");
   if (options.deadline_slack <= 0.0) {
     return common::Status::invalid("deadline_slack must be positive");
   }
   if (options.approx_K < 1) return common::Status::invalid("approx_K must be >= 1");
   if (options.dp_buckets < 1) return common::Status::invalid("dp_buckets must be >= 1");
   if (options.fork_grid < 2) return common::Status::invalid("fork_grid must be >= 2");
-  auto st = bicrit != nullptr ? bicrit->validate() : tricrit->validate();
+  auto st = problem->validate();
   validated_ = st.is_ok();
   return st;
 }

@@ -29,15 +29,8 @@
 namespace easched::api {
 
 /// Which of the paper's two optimisation problems a request carries.
-enum class ProblemKind { kBiCrit, kTriCrit };
-
-constexpr const char* to_string(ProblemKind kind) noexcept {
-  switch (kind) {
-    case ProblemKind::kBiCrit: return "BI-CRIT";
-    case ProblemKind::kTriCrit: return "TRI-CRIT";
-  }
-  return "UNKNOWN";
-}
+using core::ProblemKind;
+using core::to_string;
 
 /// Graph-structure classes the specialised algorithms key on, most
 /// specific first. `classify_structure` returns the most specific class
@@ -129,37 +122,25 @@ struct SolveOptions {
   std::string cache_namespace;
 };
 
-/// A solve request: one problem (BI-CRIT or TRI-CRIT), an optional solver
-/// name (empty = capability-based auto-selection) and options. Non-owning:
-/// the problem must outlive the request.
+/// A solve request: one problem (BI-CRIT, or TRI-CRIT when it carries a
+/// reliability model), an optional solver name (empty = capability-based
+/// auto-selection) and options. Non-owning: the problem must outlive the
+/// request.
 struct SolveRequest {
-  explicit SolveRequest(const core::BiCritProblem& problem, std::string solver_name = {},
+  explicit SolveRequest(const core::Problem& p, std::string solver_name = {},
                         SolveOptions opts = {})
-      : bicrit(&problem), solver(std::move(solver_name)), options(opts) {}
-  explicit SolveRequest(const core::TriCritProblem& problem, std::string solver_name = {},
-                        SolveOptions opts = {})
-      : tricrit(&problem), solver(std::move(solver_name)), options(opts) {}
+      : problem(&p), solver(std::move(solver_name)), options(opts) {}
 
-  const core::BiCritProblem* bicrit = nullptr;
-  const core::TriCritProblem* tricrit = nullptr;
+  const core::Problem* problem = nullptr;
   std::string solver;  ///< registry name; empty = auto-select
   SolveOptions options;
 
-  ProblemKind kind() const noexcept {
-    return bicrit != nullptr ? ProblemKind::kBiCrit : ProblemKind::kTriCrit;
-  }
-  const graph::Dag& dag() const { return bicrit != nullptr ? bicrit->dag : tricrit->dag; }
-  const sched::Mapping& mapping() const {
-    return bicrit != nullptr ? bicrit->mapping : tricrit->mapping;
-  }
-  const model::SpeedModel& speeds() const {
-    return bicrit != nullptr ? bicrit->speeds : tricrit->speeds;
-  }
+  ProblemKind kind() const noexcept { return problem->kind(); }
+  const graph::Dag& dag() const { return problem->dag; }
+  const sched::Mapping& mapping() const { return problem->mapping; }
+  const model::SpeedModel& speeds() const { return problem->speeds; }
   /// Effective deadline after the slack policy.
-  double deadline() const noexcept {
-    return (bicrit != nullptr ? bicrit->deadline : tricrit->deadline) *
-           options.deadline_slack;
-  }
+  double deadline() const noexcept { return problem->deadline * options.deadline_slack; }
 
   /// Structure class of the instance graph. Computed once and cached —
   /// auto-selection probes every registered solver, and SP recognition

@@ -2,32 +2,18 @@
 
 namespace easched::core {
 
-common::Status BiCritProblem::validate() const {
+common::Status Problem::validate() const {
   if (deadline <= 0.0) return common::Status::invalid("deadline must be positive");
   if (auto st = dag.validate(); !st.is_ok()) return st;
   return mapping.validate(dag);
 }
 
-common::Status BiCritProblem::check(const sched::Schedule& schedule) const {
+common::Status Problem::check(const sched::Schedule& schedule) const {
   sched::ValidationInput in;
   in.speed_model = &speeds;
+  in.reliability = reliability ? &*reliability : nullptr;
   in.deadline = deadline;
-  in.allow_re_execution = false;
-  return sched::validate_schedule(dag, mapping, schedule, in);
-}
-
-common::Status TriCritProblem::validate() const {
-  if (deadline <= 0.0) return common::Status::invalid("deadline must be positive");
-  if (auto st = dag.validate(); !st.is_ok()) return st;
-  return mapping.validate(dag);
-}
-
-common::Status TriCritProblem::check(const sched::Schedule& schedule) const {
-  sched::ValidationInput in;
-  in.speed_model = &speeds;
-  in.reliability = &reliability;
-  in.deadline = deadline;
-  in.allow_re_execution = true;
+  in.allow_re_execution = reliability.has_value();
   return sched::validate_schedule(dag, mapping, schedule, in);
 }
 

@@ -157,15 +157,9 @@ api::BatchReport batch_error(const std::vector<api::BatchJob>& jobs,
 // (whose addresses are stable behind unique_ptr), so queued jobs never
 // capture the Engine itself and moving it with jobs in flight is safe.
 
-bool well_formed(const SolveQuery& query) {
-  return (query.bicrit == nullptr) != (query.tricrit == nullptr);
-}
-
-/// The request a well-formed query stands for (it borrows the problem).
+/// The request a query with a problem stands for (it borrows the problem).
 api::SolveRequest request_for(const SolveQuery& query) {
-  return query.bicrit != nullptr
-             ? api::SolveRequest(*query.bicrit, query.solver, query.options)
-             : api::SolveRequest(*query.tricrit, query.solver, query.options);
+  return api::SolveRequest(*query.problem, query.solver, query.options);
 }
 
 /// `prepared`, when set, is the query's instance already serialised by
@@ -173,9 +167,8 @@ api::SolveRequest request_for(const SolveQuery& query) {
 common::Result<api::SolveReport> execute_solve(
     frontier::SolveCache& cache, const SolveQuery& query,
     std::optional<frontier::SolveCache::PreparedInstance> prepared = std::nullopt) {
-  if (!well_formed(query)) {
-    return common::Status::invalid(
-        "solve query must carry exactly one of a BI-CRIT or TRI-CRIT problem");
+  if (query.problem == nullptr) {
+    return common::Status::invalid("solve query carries no problem");
   }
   const api::SolveRequest request = request_for(query);
   if (!prepared) return cache.solve(request);
@@ -208,16 +201,13 @@ api::BatchReport execute_batch(frontier::SolveCache& cache, common::WorkerPool& 
       return;
     }
     const api::BatchJob& job = query.jobs[i];
-    if ((job.bicrit != nullptr) == (job.tricrit != nullptr)) {
-      results[i] = common::Status::invalid(
-          "batch job must carry exactly one of a BI-CRIT or TRI-CRIT problem");
+    if (job.problem == nullptr) {
+      results[i] = common::Status::invalid("batch job carries no problem");
       return;
     }
     const std::string& solver = job.solver.empty() ? query.solver : job.solver;
     try {
-      results[i] = job.bicrit != nullptr
-                       ? cache.solve(api::SolveRequest(*job.bicrit, solver, query.options))
-                       : cache.solve(api::SolveRequest(*job.tricrit, solver, query.options));
+      results[i] = cache.solve(api::SolveRequest(*job.problem, solver, query.options));
     } catch (const std::exception& e) {
       results[i] = common::Status::internal(std::string("batch job threw: ") + e.what());
     }
@@ -237,34 +227,28 @@ frontier::FrontierOptions sweep_options(const FrontierQuery& query,
   return options;
 }
 
-/// One axis/problem-kind dispatch for plain sweeps and resweeps alike:
-/// validates the query shape, then invokes the matching sweep callable
-/// with the engine-chained options. The callables receive
-/// (problem, lo, hi, options).
-template <typename BiSweep, typename TriSweep, typename RelSweep>
+/// One axis dispatch for plain sweeps and resweeps alike: validates the
+/// query shape, then invokes the matching sweep callable with the
+/// engine-chained options. The callables receive (problem, lo, hi,
+/// options).
+template <typename DeadlineSweep, typename ReliabilitySweep>
 frontier::FrontierResult dispatch_sweep(const FrontierQuery& query,
                                         const std::atomic<bool>* cancel,
-                                        const BiSweep& bicrit_deadline,
-                                        const TriSweep& tricrit_deadline,
-                                        const RelSweep& tricrit_reliability) {
+                                        const DeadlineSweep& deadline,
+                                        const ReliabilitySweep& reliability) {
+  if (query.problem == nullptr) {
+    return frontier_error(query.axis,
+                          common::Status::invalid("frontier query carries no problem"));
+  }
   const frontier::FrontierOptions options = sweep_options(query, cancel);
   if (query.axis == frontier::ConstraintAxis::kReliability) {
-    if (query.tricrit == nullptr) {
+    if (!query.problem->reliability) {
       return frontier_error(query.axis, common::Status::invalid(
                                             "reliability sweeps need a TRI-CRIT problem"));
     }
-    return tricrit_reliability(*query.tricrit, query.lo, query.hi, options);
+    return reliability(*query.problem, query.lo, query.hi, options);
   }
-  if ((query.bicrit == nullptr) == (query.tricrit == nullptr)) {
-    return frontier_error(
-        query.axis,
-        common::Status::invalid(
-            "frontier query must carry exactly one of a BI-CRIT or TRI-CRIT problem"));
-  }
-  if (query.bicrit != nullptr) {
-    return bicrit_deadline(*query.bicrit, query.lo, query.hi, options);
-  }
-  return tricrit_deadline(*query.tricrit, query.lo, query.hi, options);
+  return deadline(*query.problem, query.lo, query.hi, options);
 }
 
 frontier::FrontierResult execute_frontier(const frontier::FrontierEngine& sweeper,
@@ -272,11 +256,9 @@ frontier::FrontierResult execute_frontier(const frontier::FrontierEngine& sweepe
                                           const std::atomic<bool>* cancel) {
   return dispatch_sweep(
       query, cancel,
-      [&](const core::BiCritProblem& p, double lo, double hi,
+      [&](const core::Problem& p, double lo, double hi,
           const frontier::FrontierOptions& o) { return sweeper.deadline_sweep(p, lo, hi, o); },
-      [&](const core::TriCritProblem& p, double lo, double hi,
-          const frontier::FrontierOptions& o) { return sweeper.deadline_sweep(p, lo, hi, o); },
-      [&](const core::TriCritProblem& p, double lo, double hi,
+      [&](const core::Problem& p, double lo, double hi,
           const frontier::FrontierOptions& o) {
         return sweeper.reliability_sweep(p, lo, hi, o);
       });
@@ -288,11 +270,9 @@ frontier::FrontierResult execute_resweep(const frontier::FrontierEngine& sweeper
   const frontier::FrontierResult& prev = query.prev;
   return dispatch_sweep(
       query.target, cancel,
-      [&](const core::BiCritProblem& p, double lo, double hi,
+      [&](const core::Problem& p, double lo, double hi,
           const frontier::FrontierOptions& o) { return sweeper.resweep(prev, p, lo, hi, o); },
-      [&](const core::TriCritProblem& p, double lo, double hi,
-          const frontier::FrontierOptions& o) { return sweeper.resweep(prev, p, lo, hi, o); },
-      [&](const core::TriCritProblem& p, double lo, double hi,
+      [&](const core::Problem& p, double lo, double hi,
           const frontier::FrontierOptions& o) {
         return sweeper.resweep_reliability(prev, p, lo, hi, o);
       });
@@ -370,17 +350,17 @@ void DeadlineWatch::loop() {
 
 // ---- FrontierQuery factories ----
 
-FrontierQuery FrontierQuery::deadline(const core::BiCritProblem& problem, double dmin,
+FrontierQuery FrontierQuery::deadline(const core::Problem& problem, double dmin,
                                       double dmax, frontier::FrontierOptions opts) {
-  return deadline(std::make_shared<const core::BiCritProblem>(problem), dmin, dmax,
+  return deadline(std::make_shared<const core::Problem>(problem), dmin, dmax,
                   std::move(opts));
 }
 
-FrontierQuery FrontierQuery::deadline(std::shared_ptr<const core::BiCritProblem> problem,
+FrontierQuery FrontierQuery::deadline(std::shared_ptr<const core::Problem> problem,
                                       double dmin, double dmax,
                                       frontier::FrontierOptions opts) {
   FrontierQuery query;
-  query.bicrit = std::move(problem);
+  query.problem = std::move(problem);
   query.axis = frontier::ConstraintAxis::kDeadline;
   query.lo = dmin;
   query.hi = dmax;
@@ -388,35 +368,17 @@ FrontierQuery FrontierQuery::deadline(std::shared_ptr<const core::BiCritProblem>
   return query;
 }
 
-FrontierQuery FrontierQuery::deadline(const core::TriCritProblem& problem, double dmin,
-                                      double dmax, frontier::FrontierOptions opts) {
-  return deadline(std::make_shared<const core::TriCritProblem>(problem), dmin, dmax,
-                  std::move(opts));
-}
-
-FrontierQuery FrontierQuery::deadline(std::shared_ptr<const core::TriCritProblem> problem,
-                                      double dmin, double dmax,
-                                      frontier::FrontierOptions opts) {
-  FrontierQuery query;
-  query.tricrit = std::move(problem);
-  query.axis = frontier::ConstraintAxis::kDeadline;
-  query.lo = dmin;
-  query.hi = dmax;
-  query.options = std::move(opts);
-  return query;
-}
-
-FrontierQuery FrontierQuery::reliability(const core::TriCritProblem& problem, double rmin,
+FrontierQuery FrontierQuery::reliability(const core::Problem& problem, double rmin,
                                          double rmax, frontier::FrontierOptions opts) {
-  return reliability(std::make_shared<const core::TriCritProblem>(problem), rmin, rmax,
+  return reliability(std::make_shared<const core::Problem>(problem), rmin, rmax,
                      std::move(opts));
 }
 
-FrontierQuery FrontierQuery::reliability(
-    std::shared_ptr<const core::TriCritProblem> problem, double rmin, double rmax,
-    frontier::FrontierOptions opts) {
+FrontierQuery FrontierQuery::reliability(std::shared_ptr<const core::Problem> problem,
+                                         double rmin, double rmax,
+                                         frontier::FrontierOptions opts) {
   FrontierQuery query;
-  query.tricrit = std::move(problem);
+  query.problem = std::move(problem);
   query.axis = frontier::ConstraintAxis::kReliability;
   query.lo = rmin;
   query.hi = rmax;
@@ -551,7 +513,7 @@ Engine::SolveHandle Engine::submit(SolveQuery query, const SubmitOptions& opts) 
   frontier::SolveCache* cache = cache_.get();
   detail::Instruments* const ins = instruments_.get();
   std::optional<frontier::SolveCache::PreparedInstance> prepared;
-  if (well_formed(query)) {
+  if (query.problem != nullptr) {
     const auto submitted = ins != nullptr ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
     const api::SolveRequest request = request_for(query);
@@ -719,21 +681,7 @@ Engine::FrontierHandle Engine::submit(ResweepQuery query, const SubmitOptions& o
 
 // ---- synchronous conveniences ----
 
-common::Result<api::SolveReport> Engine::solve(const core::BiCritProblem& problem,
-                                               std::string solver,
-                                               const api::SolveOptions& options) {
-  detail::Instruments* const ins = instruments_.get();
-  if (ins == nullptr || ins->registry == nullptr) {
-    return execute_solve(*cache_, SolveQuery(problem, std::move(solver), options));
-  }
-  const auto begin = std::chrono::steady_clock::now();
-  auto result = execute_solve(*cache_, SolveQuery(problem, std::move(solver), options));
-  record_sync(*ins, ins->solve, begin,
-              result.is_ok() ? "ok" : outcome_label(result.status().code()));
-  return result;
-}
-
-common::Result<api::SolveReport> Engine::solve(const core::TriCritProblem& problem,
+common::Result<api::SolveReport> Engine::solve(const core::Problem& problem,
                                                std::string solver,
                                                const api::SolveOptions& options) {
   detail::Instruments* const ins = instruments_.get();

@@ -125,23 +125,15 @@ struct SubmitOptions {
 /// reference) so the query outlives the caller's stack — submit() is
 /// asynchronous.
 struct SolveQuery {
-  explicit SolveQuery(const core::BiCritProblem& problem, std::string solver_name = {},
+  explicit SolveQuery(const core::Problem& p, std::string solver_name = {},
                       api::SolveOptions opts = {})
-      : bicrit(std::make_shared<const core::BiCritProblem>(problem)),
+      : problem(std::make_shared<const core::Problem>(p)),
         solver(std::move(solver_name)), options(opts) {}
-  explicit SolveQuery(const core::TriCritProblem& problem, std::string solver_name = {},
+  explicit SolveQuery(std::shared_ptr<const core::Problem> p, std::string solver_name = {},
                       api::SolveOptions opts = {})
-      : tricrit(std::make_shared<const core::TriCritProblem>(problem)),
-        solver(std::move(solver_name)), options(opts) {}
-  explicit SolveQuery(std::shared_ptr<const core::BiCritProblem> problem,
-                      std::string solver_name = {}, api::SolveOptions opts = {})
-      : bicrit(std::move(problem)), solver(std::move(solver_name)), options(opts) {}
-  explicit SolveQuery(std::shared_ptr<const core::TriCritProblem> problem,
-                      std::string solver_name = {}, api::SolveOptions opts = {})
-      : tricrit(std::move(problem)), solver(std::move(solver_name)), options(opts) {}
+      : problem(std::move(p)), solver(std::move(solver_name)), options(opts) {}
 
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
+  std::shared_ptr<const core::Problem> problem;
   std::string solver;  ///< registry name; empty = auto-select
   api::SolveOptions options;
 };
@@ -158,26 +150,20 @@ struct BatchQuery {
 /// One Pareto sweep. Use the factories — they pick the axis and keep the
 /// problem alive for the asynchronous run.
 struct FrontierQuery {
-  /// BI-CRIT (or TRI-CRIT at fixed frel) energy-vs-deadline sweep.
-  static FrontierQuery deadline(const core::BiCritProblem& problem, double dmin,
-                                double dmax, frontier::FrontierOptions opts = {});
-  static FrontierQuery deadline(std::shared_ptr<const core::BiCritProblem> problem,
-                                double dmin, double dmax,
+  /// Energy-vs-deadline sweep (a TRI-CRIT problem at its fixed frel).
+  static FrontierQuery deadline(const core::Problem& problem, double dmin, double dmax,
                                 frontier::FrontierOptions opts = {});
-  static FrontierQuery deadline(const core::TriCritProblem& problem, double dmin,
+  static FrontierQuery deadline(std::shared_ptr<const core::Problem> problem, double dmin,
                                 double dmax, frontier::FrontierOptions opts = {});
-  static FrontierQuery deadline(std::shared_ptr<const core::TriCritProblem> problem,
-                                double dmin, double dmax,
-                                frontier::FrontierOptions opts = {});
-  /// TRI-CRIT energy-vs-reliability sweep over threshold speeds.
-  static FrontierQuery reliability(const core::TriCritProblem& problem, double rmin,
-                                   double rmax, frontier::FrontierOptions opts = {});
-  static FrontierQuery reliability(std::shared_ptr<const core::TriCritProblem> problem,
+  /// Energy-vs-reliability sweep over threshold speeds. A problem with no
+  /// reliability model is rejected with kInvalidArgument when it runs.
+  static FrontierQuery reliability(const core::Problem& problem, double rmin, double rmax,
+                                   frontier::FrontierOptions opts = {});
+  static FrontierQuery reliability(std::shared_ptr<const core::Problem> problem,
                                    double rmin, double rmax,
                                    frontier::FrontierOptions opts = {});
 
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
+  std::shared_ptr<const core::Problem> problem;
   frontier::ConstraintAxis axis = frontier::ConstraintAxis::kDeadline;
   double lo = 0.0;
   double hi = 0.0;
@@ -462,10 +448,7 @@ class Engine {
 
   // ---- synchronous conveniences (same shared cache/store/pool) ----
 
-  common::Result<api::SolveReport> solve(const core::BiCritProblem& problem,
-                                         std::string solver = {},
-                                         const api::SolveOptions& options = {});
-  common::Result<api::SolveReport> solve(const core::TriCritProblem& problem,
+  common::Result<api::SolveReport> solve(const core::Problem& problem,
                                          std::string solver = {},
                                          const api::SolveOptions& options = {});
   api::BatchReport solve_batch(std::vector<api::BatchJob> jobs, std::string solver = {},

@@ -287,11 +287,9 @@ std::string SolveCache::solver_name_for(std::uint64_t id) const {
 
 CacheKey SolveCache::key_for(const InstanceContext& context,
                              const api::SolveRequest& request) {
+  const auto& reliability = request.problem->reliability;
   return key_for(context, request.kind(), request.deadline(),
-                 request.kind() == api::ProblemKind::kTriCrit
-                     ? request.tricrit->reliability.frel()
-                     : 0.0,
-                 request.options);
+                 reliability ? reliability->frel() : 0.0, request.options);
 }
 
 CacheKey SolveCache::key_for(const InstanceContext& context, api::ProblemKind kind,

@@ -31,8 +31,7 @@ EvalResult wrap_uncached(common::Result<api::SolveReport> result) {
 /// O(1) POD-keyed lookups; without one it solves directly. Sharing the
 /// builder guarantees a resweep's prefetch writes exactly the keys its
 /// replay reads.
-template <typename Problem>
-EvalFn make_deadline_eval(SolveCache* cache, const Problem& problem,
+EvalFn make_deadline_eval(SolveCache* cache, const core::Problem& problem,
                           const FrontierOptions& options) {
   if (cache == nullptr) {
     return [&problem, &options](double deadline, bool*) {
@@ -57,18 +56,18 @@ EvalFn make_deadline_eval(SolveCache* cache, const Problem& problem,
 
 /// Reliability-axis counterpart: frel lives in the per-point key suffix,
 /// so one interned context serves every threshold of the sweep.
-EvalFn make_reliability_eval(SolveCache* cache, const core::TriCritProblem& problem,
+EvalFn make_reliability_eval(SolveCache* cache, const core::Problem& problem,
                              const FrontierOptions& options) {
-  const model::ReliabilityModel& base = problem.reliability;
+  const model::ReliabilityModel& base = *problem.reliability;
   auto swept_request = [&problem, &base, &options](double frel) {
     model::ReliabilityModel rel(base.lambda0(), base.sensitivity(), base.fmin(),
                                 base.fmax(), frel);
-    return core::TriCritProblem(problem.dag, problem.mapping, problem.speeds, rel,
-                                problem.deadline);
+    return core::Problem(problem.dag, problem.mapping, problem.speeds, rel,
+                         problem.deadline);
   };
   if (cache == nullptr) {
     return [&options, swept_request](double frel, bool*) {
-      const core::TriCritProblem swept = swept_request(frel);
+      const core::Problem swept = swept_request(frel);
       return wrap_uncached(
           api::solve(api::SolveRequest(swept, options.solver, options.solve)));
     };
@@ -84,7 +83,7 @@ EvalFn make_reliability_eval(SolveCache* cache, const core::TriCritProblem& prob
         context, api::ProblemKind::kTriCrit,
         problem.deadline * options.solve.deadline_slack, frel, options.solve);
     if (EvalResult found = cache->try_get(key, cache_hit)) return found;
-    const core::TriCritProblem swept = swept_request(frel);
+    const core::Problem swept = swept_request(frel);
     api::SolveRequest request(swept, options.solver, options.solve);
     return cache->solve_shared(request, key, cache_hit);
   };
@@ -356,8 +355,8 @@ FrontierResult resweep_run(common::WorkerPool& pool, const FrontierResult& prev,
 
 }  // namespace
 
-FrontierResult FrontierEngine::deadline_sweep(const core::BiCritProblem& problem,
-                                              double dmin, double dmax,
+FrontierResult FrontierEngine::deadline_sweep(const core::Problem& problem, double dmin,
+                                              double dmax,
                                               const FrontierOptions& options) const {
   EASCHED_CHECK_MSG(problem.deadline > 0.0,
                     "deadline_sweep needs a positive anchor deadline");
@@ -365,19 +364,12 @@ FrontierResult FrontierEngine::deadline_sweep(const core::BiCritProblem& problem
                    make_deadline_eval(cache_, problem, options));
 }
 
-FrontierResult FrontierEngine::deadline_sweep(const core::TriCritProblem& problem,
-                                              double dmin, double dmax,
-                                              const FrontierOptions& options) const {
-  EASCHED_CHECK_MSG(problem.deadline > 0.0,
-                    "deadline_sweep needs a positive anchor deadline");
-  return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax, options,
-                   make_deadline_eval(cache_, problem, options));
-}
-
-FrontierResult FrontierEngine::reliability_sweep(const core::TriCritProblem& problem,
+FrontierResult FrontierEngine::reliability_sweep(const core::Problem& problem,
                                                  double rmin, double rmax,
                                                  const FrontierOptions& options) const {
-  const model::ReliabilityModel& base = problem.reliability;
+  EASCHED_CHECK_MSG(problem.reliability.has_value(),
+                    "reliability sweeps need a TRI-CRIT problem");
+  const model::ReliabilityModel& base = *problem.reliability;
   EASCHED_CHECK_MSG(rmin >= base.fmin() && rmax <= base.fmax(),
                     "reliability sweep range must lie within [fmin, fmax]");
   return run_sweep(*pool_, ConstraintAxis::kReliability, rmin, rmax, options,
@@ -385,23 +377,7 @@ FrontierResult FrontierEngine::reliability_sweep(const core::TriCritProblem& pro
 }
 
 FrontierResult FrontierEngine::resweep(const FrontierResult& prev,
-                                       const core::BiCritProblem& problem, double dmin,
-                                       double dmax, const FrontierOptions& options) const {
-  EASCHED_CHECK_MSG(prev.axis == ConstraintAxis::kDeadline,
-                    "resweep needs a deadline-axis previous curve");
-  EASCHED_CHECK_MSG(problem.deadline > 0.0,
-                    "resweep needs a positive anchor deadline");
-  const EvalFn eval = make_deadline_eval(cache_, problem, options);
-  return resweep_run(*pool_, prev, dmin, dmax, options,
-                     cache_ != nullptr ? &eval : nullptr,
-                     [&] {
-                       return run_sweep(*pool_, ConstraintAxis::kDeadline, dmin, dmax,
-                                        options, eval);
-                     });
-}
-
-FrontierResult FrontierEngine::resweep(const FrontierResult& prev,
-                                       const core::TriCritProblem& problem, double dmin,
+                                       const core::Problem& problem, double dmin,
                                        double dmax, const FrontierOptions& options) const {
   EASCHED_CHECK_MSG(prev.axis == ConstraintAxis::kDeadline,
                     "resweep needs a deadline-axis previous curve");
@@ -417,12 +393,14 @@ FrontierResult FrontierEngine::resweep(const FrontierResult& prev,
 }
 
 FrontierResult FrontierEngine::resweep_reliability(const FrontierResult& prev,
-                                                   const core::TriCritProblem& problem,
+                                                   const core::Problem& problem,
                                                    double rmin, double rmax,
                                                    const FrontierOptions& options) const {
   EASCHED_CHECK_MSG(prev.axis == ConstraintAxis::kReliability,
                     "resweep_reliability needs a reliability-axis previous curve");
-  const model::ReliabilityModel& base = problem.reliability;
+  EASCHED_CHECK_MSG(problem.reliability.has_value(),
+                    "reliability sweeps need a TRI-CRIT problem");
+  const model::ReliabilityModel& base = *problem.reliability;
   EASCHED_CHECK_MSG(rmin >= base.fmin() && rmax <= base.fmax(),
                     "reliability sweep range must lie within [fmin, fmax]");
   const EvalFn eval = make_reliability_eval(cache_, problem, options);

@@ -142,24 +142,18 @@ class FrontierEngine {
 
   SolveCache* cache() const noexcept { return cache_; }
 
-  /// BI-CRIT energy-vs-deadline frontier over deadlines [dmin, dmax].
-  /// The problem's own deadline only anchors the slack policy; every
-  /// evaluation solves at the swept deadline. Requires 0 < dmin <= dmax
-  /// and problem.deadline > 0.
-  FrontierResult deadline_sweep(const core::BiCritProblem& problem, double dmin,
-                                double dmax, const FrontierOptions& options = {}) const;
-
-  /// TRI-CRIT energy-vs-deadline frontier at the problem's fixed
-  /// reliability threshold (same axis and dominance sense as the BI-CRIT
-  /// overload; re-execution decisions vary along the curve).
-  FrontierResult deadline_sweep(const core::TriCritProblem& problem, double dmin,
-                                double dmax, const FrontierOptions& options = {}) const;
+  /// Energy-vs-deadline frontier over deadlines [dmin, dmax]. The
+  /// problem's own deadline only anchors the slack policy; every
+  /// evaluation solves at the swept deadline. A TRI-CRIT problem keeps
+  /// its reliability threshold fixed (re-execution decisions vary along
+  /// the curve). Requires 0 < dmin <= dmax and problem.deadline > 0.
+  FrontierResult deadline_sweep(const core::Problem& problem, double dmin, double dmax,
+                                const FrontierOptions& options = {}) const;
 
   /// TRI-CRIT energy-vs-reliability frontier over threshold speeds
   /// [rmin, rmax] (within the reliability model's [fmin, fmax]); the
-  /// deadline stays fixed at the problem's.
-  FrontierResult reliability_sweep(const core::TriCritProblem& problem, double rmin,
-                                   double rmax,
+  /// deadline stays fixed at the problem's. Requires a reliability model.
+  FrontierResult reliability_sweep(const core::Problem& problem, double rmin, double rmax,
                                    const FrontierOptions& options = {}) const;
 
   /// Incremental re-sweep of a *changed* instance, warm-started from the
@@ -174,18 +168,13 @@ class FrontierEngine {
   /// probes that were prefetched; only moved intervals solve new points
   /// during the replay. Without a cache the prefetch is skipped and this
   /// degenerates to a plain (still correct) cold sweep.
-  FrontierResult resweep(const FrontierResult& prev, const core::BiCritProblem& problem,
-                         double dmin, double dmax,
-                         const FrontierOptions& options = {}) const;
-
-  /// TRI-CRIT deadline-axis resweep at the problem's fixed frel.
-  FrontierResult resweep(const FrontierResult& prev, const core::TriCritProblem& problem,
+  FrontierResult resweep(const FrontierResult& prev, const core::Problem& problem,
                          double dmin, double dmax,
                          const FrontierOptions& options = {}) const;
 
   /// TRI-CRIT reliability-axis resweep over [rmin, rmax].
   FrontierResult resweep_reliability(const FrontierResult& prev,
-                                     const core::TriCritProblem& problem, double rmin,
+                                     const core::Problem& problem, double rmin,
                                      double rmax,
                                      const FrontierOptions& options = {}) const;
 

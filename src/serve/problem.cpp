@@ -47,14 +47,6 @@ std::size_t mapping_heap(const sched::Mapping& mapping) {
   return bytes;
 }
 
-/// make_shared puts the object and its control block in one allocation.
-template <typename Problem>
-std::size_t problem_bytes(const Problem& problem) {
-  constexpr std::size_t kControlBlock = 2 * sizeof(void*);
-  return heap_block(sizeof(Problem) + kControlBlock) + dag_heap(problem.dag) +
-         mapping_heap(problem.mapping) + vector_heap(problem.speeds.levels());
-}
-
 }  // namespace
 
 common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadline) {
@@ -83,24 +75,22 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
     }();
     const auto mapping = sched::list_schedule(dag.value(), spec.processors,
                                               sched::PriorityPolicy::kCriticalPath);
-    BuiltProblem built;
+    std::optional<model::ReliabilityModel> rel;
     if (spec.tricrit) {
-      model::ReliabilityModel rel(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(),
-                                  spec.frel);
-      built.tricrit = std::make_shared<const core::TriCritProblem>(
-          std::move(dag).take(), mapping, speeds, rel, deadline);
-    } else {
-      built.bicrit = std::make_shared<const core::BiCritProblem>(std::move(dag).take(),
-                                                                 mapping, speeds, deadline);
+      rel.emplace(spec.lambda0, spec.dexp, speeds.fmin(), speeds.fmax(), spec.frel);
     }
-    return built;
+    return BuiltProblem(std::make_shared<const core::Problem>(
+        std::move(dag).take(), mapping, speeds, std::move(rel), deadline));
   } catch (const std::exception& e) {
     return common::Status::invalid(std::string("ProblemSpec rejected: ") + e.what());
   }
 }
 
 std::size_t footprint_bytes(const BuiltProblem& built) {
-  return built.bicrit != nullptr ? problem_bytes(*built.bicrit) : problem_bytes(*built.tricrit);
+  // make_shared puts the object and its control block in one allocation.
+  constexpr std::size_t kControlBlock = 2 * sizeof(void*);
+  return heap_block(sizeof(core::Problem) + kControlBlock) + dag_heap(built->dag) +
+         mapping_heap(built->mapping) + vector_heap(built->speeds.levels());
 }
 
 ProblemMemo::ProblemMemo(obs::Registry* metrics) {

@@ -27,11 +27,8 @@
 
 namespace easched::serve {
 
-/// A request's problem, rebuilt server-side. Exactly one pointer is set.
-struct BuiltProblem {
-  std::shared_ptr<const core::BiCritProblem> bicrit;
-  std::shared_ptr<const core::TriCritProblem> tricrit;
-};
+/// A request's problem, rebuilt server-side.
+using BuiltProblem = std::shared_ptr<const core::Problem>;
 
 /// Rebuilds the problem a ProblemSpec describes, with the mapping
 /// recomputed by the same critical-path list scheduler the CLI uses.

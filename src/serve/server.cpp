@@ -338,11 +338,8 @@ struct Server::Impl {
 
     api::SolveOptions options;
     options.cache_namespace = conn.tenant_id;
-    engine::SolveQuery query =
-        built.value().bicrit
-            ? engine::SolveQuery(built.value().bicrit, msg.solver, options)
-            : engine::SolveQuery(built.value().tricrit, msg.solver, options);
-    auto handle = engine->submit(std::move(query), submit_options(msg.job_deadline_ms));
+    auto handle = engine->submit(engine::SolveQuery(built.value(), msg.solver, options),
+                                 submit_options(msg.job_deadline_ms));
 
     // The callback runs on the worker that completes the job, or inline
     // right here when the engine answered from its cache — then the
@@ -438,13 +435,8 @@ struct Server::Impl {
 
     engine::FrontierQuery query =
         reliability
-            ? engine::FrontierQuery::reliability(built.value().tricrit, msg.lo, msg.hi,
-                                                 fopt)
-            : (built.value().bicrit
-                   ? engine::FrontierQuery::deadline(built.value().bicrit, msg.lo,
-                                                     msg.hi, fopt)
-                   : engine::FrontierQuery::deadline(built.value().tricrit, msg.lo,
-                                                     msg.hi, fopt));
+            ? engine::FrontierQuery::reliability(built.value(), msg.lo, msg.hi, fopt)
+            : engine::FrontierQuery::deadline(built.value(), msg.lo, msg.hi, fopt);
 
     engine::Engine::FrontierHandle handle;
     if (!msg.prev_probes.empty()) {

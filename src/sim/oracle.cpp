@@ -50,8 +50,8 @@ common::Result<OracleReport> oracle_baseline(const ArrivalTrace& trace,
       config.speeds.kind() == model::SpeedModelKind::kContinuous
           ? config.speeds
           : model::SpeedModel::vdd_hopping(config.speeds.levels());
-  core::BiCritProblem problem(std::move(dag), std::move(mapping), speeds,
-                              report.window);
+  core::Problem problem(std::move(dag), std::move(mapping), speeds,
+                        report.window);
   auto solved = engine.solve(problem);
   if (!solved.is_ok()) return solved.status();
   report.solver = solved.value().solver;

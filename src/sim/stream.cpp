@@ -23,7 +23,7 @@ common::Rng substream(std::uint64_t seed, StreamPurpose purpose, std::uint64_t i
 }
 
 std::vector<TaskClass> default_task_classes(bool periodic) {
-  // The serving tier's SLA spacing (bench_serve_load): tight frequent
+  // A serving tier's SLA spacing (mean gaps 2 / 5 / 11): tight frequent
   // SLA0 work, medium SLA1, sparse loose SLA2. Relative deadlines stay
   // at or below the gap (constrained deadlines — the regime the
   // cycle-conserving density argument is proved in) and the total

@@ -11,7 +11,7 @@
 // trace, bit-identical trial outcomes, for any thread count.
 //
 // The arrival generator produces streams of jobs from task classes in
-// the shape of the serving tier's SLA trace (bench_serve_load): each
+// the shape of a serving tier's SLA mix (three urgency tiers): each
 // class has an inter-arrival law (Poisson or strictly periodic), a WCET,
 // a relative deadline and an SLA tier. Realized work is drawn per job in
 // [bcet_fraction * wcet, wcet] — the online policies only ever see the
@@ -53,9 +53,8 @@ struct TaskClass {
   double bcet_fraction = 0.5;
 };
 
-/// The serving tier's three SLA tiers as simulator task classes: the
-/// same 2 / 5 / 11 mean-gap spacing bench_serve_load replays, with
-/// deadlines tight for SLA0 and loose for SLA2.
+/// A serving tier's three SLA tiers as simulator task classes: mean gaps
+/// of 2 / 5 / 11, with deadlines tight for SLA0 and loose for SLA2.
 std::vector<TaskClass> default_task_classes(bool periodic = false);
 
 /// One realized job of a trace.

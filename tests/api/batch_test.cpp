@@ -43,7 +43,7 @@ TEST(EngineBatch, MatchesSequentialSolvesExactly) {
 
   // Sequential reference: the exact same requests, one at a time.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    auto seq = solve(*jobs[i].bicrit);
+    auto seq = solve(*jobs[i].problem);
     ASSERT_EQ(seq.is_ok(), batch.results[i].is_ok()) << jobs[i].family;
     if (!seq.is_ok()) continue;
     EXPECT_EQ(batch.results[i].value().energy, seq.value().energy) << jobs[i].family;
@@ -108,7 +108,7 @@ TEST(EngineBatch, TriCritCorpusAggregates) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (!batch.results[i].is_ok()) continue;
     EXPECT_EQ(batch.results[i].value().problem, ProblemKind::kTriCrit);
-    EXPECT_TRUE(jobs[i].tricrit->check(batch.results[i].value().schedule).is_ok())
+    EXPECT_TRUE(jobs[i].problem->check(batch.results[i].value().schedule).is_ok())
         << jobs[i].family;
   }
 }

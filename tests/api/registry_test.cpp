@@ -15,29 +15,29 @@ namespace {
 
 using model::SpeedModel;
 
-core::BiCritProblem chain_problem(SpeedModel speeds, double deadline = 8.0) {
+core::Problem chain_problem(SpeedModel speeds, double deadline = 8.0) {
   auto dag = graph::make_chain({2.0, 3.0, 5.0});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1, 2});
-  return core::BiCritProblem(std::move(dag), std::move(mapping), std::move(speeds),
-                             deadline);
+  return core::Problem(std::move(dag), std::move(mapping), std::move(speeds),
+                       deadline);
 }
 
-core::BiCritProblem fork_problem(SpeedModel speeds, int processors, double deadline = 8.0) {
+core::Problem fork_problem(SpeedModel speeds, int processors, double deadline = 8.0) {
   auto dag = graph::make_fork({2.0, 1.0, 1.5, 1.0});
   auto mapping = processors >= dag.num_tasks()
                      ? sched::Mapping::one_task_per_processor(dag)
                      : sched::list_schedule(dag, processors,
                                             sched::PriorityPolicy::kCriticalPath);
-  return core::BiCritProblem(std::move(dag), std::move(mapping), std::move(speeds),
-                             deadline);
+  return core::Problem(std::move(dag), std::move(mapping), std::move(speeds),
+                       deadline);
 }
 
 /// Diamond = fork-join: series-parallel but neither chain nor fork.
-core::BiCritProblem sp_problem(SpeedModel speeds, double deadline = 10.0) {
+core::Problem sp_problem(SpeedModel speeds, double deadline = 10.0) {
   auto dag = graph::make_fork_join({1.0, 2.0, 2.0, 1.0});
   auto mapping = sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
-  return core::BiCritProblem(std::move(dag), std::move(mapping), std::move(speeds),
-                             deadline);
+  return core::Problem(std::move(dag), std::move(mapping), std::move(speeds),
+                       deadline);
 }
 
 /// The "N" graph — the canonical non-series-parallel DAG.
@@ -53,11 +53,11 @@ graph::Dag n_graph() {
   return dag;
 }
 
-core::BiCritProblem general_problem(SpeedModel speeds, double deadline = 10.0) {
+core::Problem general_problem(SpeedModel speeds, double deadline = 10.0) {
   auto dag = n_graph();
   auto mapping = sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
-  return core::BiCritProblem(std::move(dag), std::move(mapping), std::move(speeds),
-                             deadline);
+  return core::Problem(std::move(dag), std::move(mapping), std::move(speeds),
+                       deadline);
 }
 
 TEST(ClassifyStructure, MostSpecificClassWins) {
@@ -70,7 +70,7 @@ TEST(ClassifyStructure, MostSpecificClassWins) {
 
 struct SelectionCase {
   const char* label;
-  core::BiCritProblem problem;
+  core::Problem problem;
   const char* expected_solver;
 };
 
@@ -116,18 +116,18 @@ TEST(AutoSelection, LargeDiscreteSearchSpaceFallsBackToGreedy) {
   common::Rng rng(7);
   auto dag = graph::make_random_dag(40, 0.1, {1.0, 3.0}, rng);
   auto mapping = sched::list_schedule(dag, 4, sched::PriorityPolicy::kCriticalPath);
-  core::BiCritProblem p(std::move(dag), std::move(mapping),
-                        SpeedModel::discrete(model::xscale_levels()), 400.0);
+  core::Problem p(std::move(dag), std::move(mapping),
+                  SpeedModel::discrete(model::xscale_levels()), 400.0);
   auto r = solve(p);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value().solver, "discrete-greedy");
 }
 
-core::TriCritProblem tri_problem(graph::Dag dag, sched::Mapping mapping,
-                                 double deadline) {
-  return core::TriCritProblem(std::move(dag), std::move(mapping),
-                              SpeedModel::continuous(0.2, 1.0),
-                              model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), deadline);
+core::Problem tri_problem(graph::Dag dag, sched::Mapping mapping,
+                          double deadline) {
+  return core::Problem(std::move(dag), std::move(mapping),
+                       SpeedModel::continuous(0.2, 1.0),
+                       model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), deadline);
 }
 
 TEST(AutoSelection, TriCritRoutesByStructure) {
@@ -161,9 +161,9 @@ TEST(AutoSelection, TriCritRoutesByStructure) {
 TEST(AutoSelection, TriCritVddRoutesToAdaptation) {
   auto dag = graph::make_chain({1.0, 2.0, 1.5});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1, 2});
-  core::TriCritProblem p(std::move(dag), std::move(mapping),
-                         SpeedModel::vdd_hopping({0.2, 0.4, 0.6, 0.8, 1.0}),
-                         model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), 14.0);
+  core::Problem p(std::move(dag), std::move(mapping),
+                  SpeedModel::vdd_hopping({0.2, 0.4, 0.6, 0.8, 1.0}),
+                  model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), 14.0);
   auto r = solve(p);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value().solver, "vdd-adapt");

@@ -7,17 +7,17 @@
 namespace easched::core {
 namespace {
 
-BiCritProblem make_bicrit(double deadline = 10.0) {
+Problem make_bicrit(double deadline = 10.0) {
   auto dag = graph::make_chain({1.0, 2.0});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1});
-  return BiCritProblem(std::move(dag), std::move(mapping),
-                       model::SpeedModel::continuous(0.2, 1.0), deadline);
+  return Problem(std::move(dag), std::move(mapping),
+                 model::SpeedModel::continuous(0.2, 1.0), deadline);
 }
 
-TriCritProblem make_tricrit(double deadline = 10.0) {
+Problem make_tricrit(double deadline = 10.0) {
   auto dag = graph::make_chain({1.0, 2.0});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1});
-  return TriCritProblem(std::move(dag), std::move(mapping),
+  return Problem(std::move(dag), std::move(mapping),
                         model::SpeedModel::continuous(0.2, 1.0),
                         model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), deadline);
 }

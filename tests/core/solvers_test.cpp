@@ -24,10 +24,10 @@
 namespace easched::core {
 namespace {
 
-BiCritProblem chain_problem(model::SpeedModel speeds, double deadline) {
+Problem chain_problem(model::SpeedModel speeds, double deadline) {
   auto dag = graph::make_chain({2.0, 3.0, 5.0});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1, 2});
-  return BiCritProblem(std::move(dag), std::move(mapping), std::move(speeds), deadline);
+  return Problem(std::move(dag), std::move(mapping), std::move(speeds), deadline);
 }
 
 TEST(SolveBiCrit, AutoPicksClosedFormForChain) {
@@ -63,8 +63,8 @@ TEST(SolveBiCrit, AutoPicksGreedyForLargeDiscrete) {
   for (int t = 0; t < dag.num_tasks(); ++t) dmax[static_cast<std::size_t>(t)] = dag.weight(t);
   const double D =
       graph::time_analysis(mapping.augmented_graph(dag), dmax, 0.0).makespan * 1.5;
-  BiCritProblem p(std::move(dag), std::move(mapping),
-                  model::SpeedModel::discrete(model::xscale_levels()), D);
+  Problem p(std::move(dag), std::move(mapping),
+            model::SpeedModel::discrete(model::xscale_levels()), D);
   auto r = api::solve(p);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(r.value().solver, "discrete-greedy");
@@ -99,12 +99,12 @@ TEST(SolveBiCrit, InfeasiblePropagates) {
   EXPECT_FALSE(api::solve(p).is_ok());
 }
 
-TriCritProblem tri_chain_problem(double deadline) {
+Problem tri_chain_problem(double deadline) {
   auto dag = graph::make_chain({1.0, 2.0, 1.5});
   auto mapping = sched::Mapping::single_processor(dag, {0, 1, 2});
-  return TriCritProblem(std::move(dag), std::move(mapping),
-                        model::SpeedModel::continuous(0.2, 1.0),
-                        model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), deadline);
+  return Problem(std::move(dag), std::move(mapping),
+                 model::SpeedModel::continuous(0.2, 1.0),
+                 model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), deadline);
 }
 
 TEST(SolveTriCrit, ChainExactAndGreedy) {
@@ -121,7 +121,7 @@ TEST(SolveTriCrit, ChainExactAndGreedy) {
 TEST(SolveTriCrit, ForkPoly) {
   auto dag = graph::make_fork({2.0, 1.0, 1.0});
   auto mapping = sched::Mapping::one_task_per_processor(dag);
-  TriCritProblem p(std::move(dag), std::move(mapping),
+  Problem p(std::move(dag), std::move(mapping),
                    model::SpeedModel::continuous(0.2, 1.0),
                    model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), 10.0);
   auto r = api::solve(p, "fork-poly");
@@ -137,7 +137,7 @@ TEST(SolveTriCrit, HeuristicsOnGeneralDag) {
   for (int t = 0; t < dag.num_tasks(); ++t) dmax[static_cast<std::size_t>(t)] = dag.weight(t);
   const double D =
       graph::time_analysis(mapping.augmented_graph(dag), dmax, 0.0).makespan / 0.8 * 2.0;
-  TriCritProblem p(std::move(dag), std::move(mapping),
+  Problem p(std::move(dag), std::move(mapping),
                    model::SpeedModel::continuous(0.2, 1.0),
                    model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), D);
   for (const char* solver : {"heuristic-A", "heuristic-B", "best-of"}) {
@@ -150,7 +150,7 @@ TEST(SolveTriCrit, HeuristicsOnGeneralDag) {
 TEST(SolveTriCrit, ChainSolverRejectsNonChain) {
   auto dag = graph::make_fork({1.0, 1.0, 1.0});
   auto mapping = sched::Mapping::one_task_per_processor(dag);
-  TriCritProblem p(std::move(dag), std::move(mapping),
+  Problem p(std::move(dag), std::move(mapping),
                    model::SpeedModel::continuous(0.2, 1.0),
                    model::ReliabilityModel(1e-5, 3.0, 0.2, 1.0, 0.8), 10.0);
   EXPECT_FALSE(api::solve(p, "chain-exact").is_ok());

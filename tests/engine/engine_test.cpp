@@ -39,7 +39,7 @@
 namespace easched::engine {
 namespace {
 
-core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
+core::Problem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   common::Rng rng(seed);
   auto dag = graph::make_random_dag(tasks, 0.2, {1.0, 4.0}, rng);
   auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
@@ -49,11 +49,11 @@ core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   }
   const double deadline =
       graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan * slack;
-  return core::BiCritProblem(std::move(dag), std::move(mapping),
-                             model::SpeedModel::continuous(0.1, 1.0), deadline);
+  return core::Problem(std::move(dag), std::move(mapping),
+                       model::SpeedModel::continuous(0.1, 1.0), deadline);
 }
 
-core::TriCritProblem random_tricrit(std::uint64_t seed, int tasks, double slack) {
+core::Problem random_tricrit(std::uint64_t seed, int tasks, double slack) {
   common::Rng rng(seed);
   auto dag = graph::make_layered(3, (tasks + 2) / 3, 0.4, {1.0, 3.0}, rng);
   auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
@@ -65,8 +65,8 @@ core::TriCritProblem random_tricrit(std::uint64_t seed, int tasks, double slack)
   const double deadline =
       graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan / rel.frel() *
       slack;
-  return core::TriCritProblem(std::move(dag), std::move(mapping),
-                              model::SpeedModel::continuous(0.2, 1.0), rel, deadline);
+  return core::Problem(std::move(dag), std::move(mapping),
+                       model::SpeedModel::continuous(0.2, 1.0), rel, deadline);
 }
 
 bool same_curve(const std::vector<frontier::FrontierPoint>& a,
@@ -142,9 +142,9 @@ TEST(Engine, ConcurrentMixedQueriesOnOneEngine) {
   Engine& engine = created.value();
 
   // Reference values, computed synchronously and independently.
-  const auto bi = std::make_shared<const core::BiCritProblem>(random_bicrit(21, 10, 1.7));
+  const auto bi = std::make_shared<const core::Problem>(random_bicrit(21, 10, 1.7));
   const auto tri =
-      std::make_shared<const core::TriCritProblem>(random_tricrit(22, 9, 2.0));
+      std::make_shared<const core::Problem>(random_tricrit(22, 9, 2.0));
   const auto ref_solve = api::solve(*bi);
   ASSERT_TRUE(ref_solve.is_ok());
   frontier::FrontierOptions fopt;
@@ -219,7 +219,7 @@ TEST(Engine, BatchQueryAggregatesLikeSerialSolves) {
 
   // Reference: the same requests solved one at a time, then aggregated.
   std::vector<common::Result<api::SolveReport>> serial;
-  for (const auto& job : jobs) serial.push_back(api::solve(*job.bicrit));
+  for (const auto& job : jobs) serial.push_back(api::solve(*job.problem));
   const auto direct = api::aggregate_batch(jobs, std::move(serial));
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -253,7 +253,7 @@ TEST(Engine, BatchQueryAggregatesLikeSerialSolves) {
 TEST(Engine, CompareSweepsEachSolverInRequestOrder) {
   // A TRI-CRIT instance, so two heuristics sweep the same deadline axis.
   const auto problem =
-      std::make_shared<const core::TriCritProblem>(random_tricrit(45, 9, 2.0));
+      std::make_shared<const core::Problem>(random_tricrit(45, 9, 2.0));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 5;
   fopt.max_points = 11;
@@ -302,7 +302,7 @@ TEST(Engine, StreamedFrontierReproducesCurveBitIdentically) {
   auto created = Engine::create(config);
   ASSERT_TRUE(created.is_ok());
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(41, 12, 1.8));
+      std::make_shared<const core::Problem>(random_bicrit(41, 12, 1.8));
 
   frontier::FrontierOptions fopt;
   fopt.initial_points = 7;
@@ -344,7 +344,7 @@ TEST(Engine, CancelledQueuedJobNeverRuns) {
   auto created = Engine::create(config);
   ASSERT_TRUE(created.is_ok());
   const auto blocker =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(51, 16, 1.6));
+      std::make_shared<const core::Problem>(random_bicrit(51, 16, 1.6));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 25;
@@ -366,7 +366,7 @@ TEST(Engine, CancellationMidSweepLeavesCacheAndStoreConsistent) {
   const std::string path = temp_store_path("cancel");
   std::remove(path.c_str());
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(61, 14, 1.8));
+      std::make_shared<const core::Problem>(random_bicrit(61, 14, 1.8));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 33;
@@ -444,9 +444,9 @@ TEST(Engine, PriorityOrdersQueuedJobs) {
   Engine& engine = created.value();
 
   const auto blocker =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(71, 16, 1.7));
+      std::make_shared<const core::Problem>(random_bicrit(71, 16, 1.7));
   const auto quick =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(72, 8, 1.7));
+      std::make_shared<const core::Problem>(random_bicrit(72, 8, 1.7));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 7;
   fopt.max_points = 15;
@@ -493,7 +493,7 @@ TEST(Engine, ExpiredDeadlineFailsFast) {
   auto created = Engine::create(config);
   ASSERT_TRUE(created.is_ok());
   const auto blocker =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(81, 16, 1.6));
+      std::make_shared<const core::Problem>(random_bicrit(81, 16, 1.6));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 25;
@@ -519,9 +519,9 @@ TEST(Engine, ResweepThroughFacadeMatchesColdSweep) {
   Engine& engine = created.value();
 
   const auto old_problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(91, 10, 1.8));
+      std::make_shared<const core::Problem>(random_bicrit(91, 10, 1.8));
   auto perturbed = *old_problem;  // same graph, tighter deadline anchor
-  const auto new_problem = std::make_shared<const core::BiCritProblem>(
+  const auto new_problem = std::make_shared<const core::Problem>(
       perturbed.dag, perturbed.mapping, perturbed.speeds, perturbed.deadline * 0.97);
 
   frontier::FrontierOptions fopt;
@@ -572,7 +572,7 @@ TEST(Engine, StoreBackedEngineReplaysAcrossRestart) {
   const std::string path = temp_store_path("restart");
   std::remove(path.c_str());
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(101, 10, 1.8));
+      std::make_shared<const core::Problem>(random_bicrit(101, 10, 1.8));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 5;
   fopt.max_points = 11;
@@ -656,7 +656,7 @@ class GatedBlocker {
  public:
   GatedBlocker(Engine& engine, std::uint64_t seed) : gate_(std::make_shared<Gate>()) {
     const auto problem =
-        std::make_shared<const core::BiCritProblem>(random_bicrit(seed, 14, 1.7));
+        std::make_shared<const core::Problem>(random_bicrit(seed, 14, 1.7));
     frontier::FrontierOptions fopt;
     fopt.initial_points = 9;
     fopt.max_points = 25;
@@ -741,7 +741,7 @@ TEST(Engine, CachedSolveCompletesAtSubmitAndIsNeverShed) {
 
   // Prime through the queued path.
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(95, 12, 1.6));
+      std::make_shared<const core::Problem>(random_bicrit(95, 12, 1.6));
   const auto primed = engine.submit(SolveQuery(problem)).get();
   ASSERT_TRUE(primed.is_ok()) << primed.status().to_string();
 
@@ -860,7 +860,7 @@ TEST(Engine, RunningJobDeadlineLeavesCacheAndStoreConsistent) {
   const std::string path = temp_store_path("jobdeadline");
   std::remove(path.c_str());
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(97, 14, 1.8));
+      std::make_shared<const core::Problem>(random_bicrit(97, 14, 1.8));
   frontier::FrontierOptions fopt;
   fopt.initial_points = 9;
   fopt.max_points = 33;

@@ -23,7 +23,7 @@
 namespace easched::engine {
 namespace {
 
-core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
+core::Problem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   common::Rng rng(seed);
   auto dag = graph::make_random_dag(tasks, 0.2, {1.0, 4.0}, rng);
   auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
@@ -33,8 +33,8 @@ core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   }
   const double deadline =
       graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan * slack;
-  return core::BiCritProblem(std::move(dag), std::move(mapping),
-                             model::SpeedModel::continuous(0.1, 1.0), deadline);
+  return core::Problem(std::move(dag), std::move(mapping),
+                       model::SpeedModel::continuous(0.1, 1.0), deadline);
 }
 
 bool same_curve(const std::vector<frontier::FrontierPoint>& a,
@@ -50,7 +50,7 @@ bool same_curve(const std::vector<frontier::FrontierPoint>& a,
   return true;
 }
 
-FrontierQuery sweep_query(const std::shared_ptr<const core::BiCritProblem>& problem) {
+FrontierQuery sweep_query(const std::shared_ptr<const core::Problem>& problem) {
   frontier::FrontierOptions fopt;
   fopt.initial_points = 5;
   fopt.max_points = 9;
@@ -65,7 +65,7 @@ TEST(EngineObs, AsyncJobsLandInCountersAndHistograms) {
   ASSERT_NE(eng.metrics(), nullptr);
 
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(11, 10, 1.4));
+      std::make_shared<const core::Problem>(random_bicrit(11, 10, 1.4));
   auto handle = eng.submit(SolveQuery(problem));
   ASSERT_TRUE(handle.get().is_ok());
   auto sweep = eng.submit(sweep_query(problem));
@@ -117,7 +117,7 @@ TEST(EngineObs, ExpiredDeadlineCountsAsDeadlineExceeded) {
   ASSERT_TRUE(engine.is_ok());
   Engine& eng = engine.value();
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(13, 8, 1.4));
+      std::make_shared<const core::Problem>(random_bicrit(13, 8, 1.4));
   // An effectively already-expired deadline: the job is picked up after
   // the deadline passed and completes without running the solver.
   SubmitOptions opts;
@@ -136,7 +136,7 @@ TEST(EngineObs, ExpiredDeadlineCountsAsDeadlineExceeded) {
 
 TEST(EngineObs, SweepBitIdenticalWithMetricsOnAndOff) {
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(14, 12, 1.5));
+      std::make_shared<const core::Problem>(random_bicrit(14, 12, 1.5));
 
   EngineConfig on_config;
   on_config.metrics = true;
@@ -179,7 +179,7 @@ TEST(EngineObs, TraceSpansReplayTheJobLifecycle) {
   ASSERT_NE(eng.trace(), nullptr);
 
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(15, 10, 1.4));
+      std::make_shared<const core::Problem>(random_bicrit(15, 10, 1.4));
   ASSERT_TRUE(eng.submit(SolveQuery(problem)).get().is_ok());
   ASSERT_TRUE(eng.submit(sweep_query(problem)).get().error.is_ok());
 

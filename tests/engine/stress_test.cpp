@@ -39,7 +39,7 @@
 namespace easched::engine {
 namespace {
 
-core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
+core::Problem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   common::Rng rng(seed);
   auto dag = graph::make_random_dag(tasks, 0.2, {1.0, 4.0}, rng);
   auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
@@ -49,8 +49,8 @@ core::BiCritProblem random_bicrit(std::uint64_t seed, int tasks, double slack) {
   }
   const double deadline =
       graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan * slack;
-  return core::BiCritProblem(std::move(dag), std::move(mapping),
-                             model::SpeedModel::continuous(0.1, 1.0), deadline);
+  return core::Problem(std::move(dag), std::move(mapping),
+                       model::SpeedModel::continuous(0.1, 1.0), deadline);
 }
 
 std::string temp_store_path(const char* tag) {
@@ -80,10 +80,10 @@ TEST(EngineStress, MixedSubmittersOneEngine) {
 
   // Shared fixed corpus; every thread draws from the same problems so the
   // cache, interner and store see genuine cross-thread sharing.
-  std::vector<std::shared_ptr<const core::BiCritProblem>> problems;
+  std::vector<std::shared_ptr<const core::Problem>> problems;
   for (std::uint64_t s = 0; s < 3; ++s) {
     problems.push_back(
-        std::make_shared<const core::BiCritProblem>(random_bicrit(90 + s, 8, 1.7)));
+        std::make_shared<const core::Problem>(random_bicrit(90 + s, 8, 1.7)));
   }
   // Sync references, computed up front on the same engine (also warms the
   // store so submitter threads race loads against appends).
@@ -235,11 +235,11 @@ TEST(EngineStress, SyncHitsRaceClearAndEviction) {
   ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
   Engine& eng = engine.value();
 
-  std::vector<std::shared_ptr<const core::BiCritProblem>> problems;
+  std::vector<std::shared_ptr<const core::Problem>> problems;
   std::vector<api::SolveReport> refs;
   for (std::uint64_t s = 0; s < 6; ++s) {
     problems.push_back(
-        std::make_shared<const core::BiCritProblem>(random_bicrit(500 + s, 8, 1.6)));
+        std::make_shared<const core::Problem>(random_bicrit(500 + s, 8, 1.6)));
     auto ref = api::solve(*problems.back());
     ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
     refs.push_back(std::move(ref).take());
@@ -286,7 +286,7 @@ TEST(EngineStress, CancelRacesCompletion) {
   ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
   Engine& eng = engine.value();
   const auto problem =
-      std::make_shared<const core::BiCritProblem>(random_bicrit(42, 8, 1.5));
+      std::make_shared<const core::Problem>(random_bicrit(42, 8, 1.5));
   const double ref = eng.solve(*problem).value().energy;
 
   for (int round = 0; round < 16; ++round) {

@@ -27,13 +27,13 @@ graph::Dag diamond_dag() {
   return dag;
 }
 
-core::BiCritProblem diamond_problem(double deadline,
-                                    model::SpeedModel speeds =
+core::Problem diamond_problem(double deadline,
+                              model::SpeedModel speeds =
                                         model::SpeedModel::continuous(0.2, 1.0)) {
   const auto dag = diamond_dag();
   const auto mapping =
       sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
-  return core::BiCritProblem(dag, mapping, std::move(speeds), deadline);
+  return core::Problem(dag, mapping, std::move(speeds), deadline);
 }
 
 TEST(CanonicalFingerprint, EqualRequestsShareAKey) {
@@ -84,10 +84,10 @@ TEST(CanonicalFingerprint, TriCritIncludesReliability) {
   const auto mapping =
       sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
   const auto speeds = model::SpeedModel::continuous(0.2, 1.0);
-  const core::TriCritProblem p1(dag, mapping, speeds,
-                                model::default_reliability(0.2, 1.0, 0.8), 20.0);
-  const core::TriCritProblem p2(dag, mapping, speeds,
-                                model::default_reliability(0.2, 1.0, 0.7), 20.0);
+  const core::Problem p1(dag, mapping, speeds,
+                         model::default_reliability(0.2, 1.0, 0.8), 20.0);
+  const core::Problem p2(dag, mapping, speeds,
+                         model::default_reliability(0.2, 1.0, 0.7), 20.0);
   EXPECT_NE(canonical_fingerprint(api::SolveRequest(p1)),
             canonical_fingerprint(api::SolveRequest(p2)));
 }
@@ -371,7 +371,7 @@ TEST(SolveCache, ConcurrentMixedWorkloadStaysConsistent) {
   // 64 workers hammer 8 distinct requests; every result must equal the
   // uncached reference and the books must balance. Run under
   // check.sh --sanitize this doubles as the data-race check.
-  std::vector<core::BiCritProblem> problems;
+  std::vector<core::Problem> problems;
   problems.reserve(8);
   for (int i = 0; i < 8; ++i) {
     problems.push_back(diamond_problem(10.0 + i));

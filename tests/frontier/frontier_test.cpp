@@ -68,7 +68,7 @@ TEST(DeadlineSweep, FrontierInvariantsAcrossTheCorpus) {
   options.max_points = 15;
   for (const auto& inst : small_corpus()) {
     const double base = fmax_deadline(inst, speeds.fmax());
-    core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 3.0);
+    core::Problem problem(inst.dag, inst.mapping, speeds, base * 3.0);
     const auto result =
         engine.deadline_sweep(problem, base * 1.05, base * 3.0, options);
     EXPECT_GE(result.points.size(), 2u) << inst.name;
@@ -85,7 +85,7 @@ TEST(DeadlineSweep, RefinementSpendsBudgetWhereTheCurveBends) {
   const auto speeds = model::SpeedModel::continuous(0.05, 1.0);
   const auto& inst = corpus.front();  // chain
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 6.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 6.0);
 
   FrontierEngine engine(pool());
   FrontierOptions options;
@@ -110,7 +110,7 @@ TEST(DeadlineSweep, InfeasibleRegionIsReportedNotReturned) {
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
   // Half the range lies below the all-fmax makespan: infeasible.
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.0);
   FrontierEngine engine(pool());
   const auto result = engine.deadline_sweep(problem, base * 0.4, base * 2.0);
   EXPECT_GT(result.infeasible, 0u);
@@ -127,7 +127,7 @@ TEST(DeadlineSweep, ColdAndWarmSweepsAreBitIdentical) {
 
   for (const auto& inst : small_corpus()) {
     const double base = fmax_deadline(inst, speeds.fmax());
-    core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
+    core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
     SolveCache cache;
     FrontierEngine cached_engine(pool(), &cache);
@@ -159,7 +159,7 @@ TEST(DeadlineSweep, ThreadCountNeverChangesThePoints) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const auto& inst = corpus.back();  // random-dag
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 3.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 3.0);
 
   common::WorkerPool one(1);
   common::WorkerPool eight(8);
@@ -187,7 +187,7 @@ TEST(Resweep, BitIdenticalToColdSweepOfThePerturbedInstance) {
 
   for (const auto& inst : small_corpus()) {
     const double base = fmax_deadline(inst, speeds.fmax());
-    core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
+    core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
     SolveCache cache;
     FrontierEngine engine(pool(), &cache);
@@ -196,7 +196,7 @@ TEST(Resweep, BitIdenticalToColdSweepOfThePerturbedInstance) {
 
     // Perturb one weight; the perturbed instance shares nothing with the
     // cached entries (fresh digest), so the resweep does real solving.
-    core::BiCritProblem perturbed = problem;
+    core::Problem perturbed = problem;
     perturbed.dag.set_weight(0, perturbed.dag.weight(0) * 1.05);
 
     FrontierEngine plain_engine(pool());  // no cache: the reference cold sweep
@@ -235,7 +235,7 @@ TEST(Resweep, ReplayFindsThePrefetchedProbesCached) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
   SolveCache cache;
   FrontierEngine engine(pool(), &cache);
@@ -260,7 +260,7 @@ TEST(Resweep, WithoutACacheDegeneratesToACorrectColdSweep) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.5);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.5);
 
   FrontierEngine plain_engine(pool());
   FrontierOptions options;
@@ -282,7 +282,7 @@ TEST(ResweepReliability, BitIdenticalAcrossTheAxis) {
   const model::ReliabilityModel rel = model::default_reliability(0.2, 1.0, 0.9);
   const auto& inst = corpus.front();
   const double deadline = fmax_deadline(inst, speeds.fmax()) * 2.5;
-  core::TriCritProblem problem(inst.dag, inst.mapping, speeds, rel, deadline);
+  core::Problem problem(inst.dag, inst.mapping, speeds, rel, deadline);
 
   FrontierOptions options;
   options.initial_points = 5;
@@ -292,7 +292,7 @@ TEST(ResweepReliability, BitIdenticalAcrossTheAxis) {
   const auto prev = engine.reliability_sweep(problem, 0.3, 0.9, options);
   if (prev.points.empty()) GTEST_SKIP() << "family not handled by tri-crit heuristics";
 
-  core::TriCritProblem perturbed = problem;
+  core::Problem perturbed = problem;
   perturbed.dag.set_weight(0, perturbed.dag.weight(0) * 1.05);
 
   FrontierEngine plain_engine(pool());
@@ -317,7 +317,7 @@ TEST(ReliabilitySweep, FrontierInvariantsAndDeterminism) {
 
   for (const auto& inst : corpus) {
     const double deadline = fmax_deadline(inst, speeds.fmax()) * 2.5;
-    core::TriCritProblem problem(inst.dag, inst.mapping, speeds, rel, deadline);
+    core::Problem problem(inst.dag, inst.mapping, speeds, rel, deadline);
 
     SolveCache cache;
     FrontierEngine engine(pool(), &cache);
@@ -341,7 +341,7 @@ TEST(TriCritDeadlineSweep, FrontierInvariantsAtFixedReliability) {
   const model::ReliabilityModel rel = model::default_reliability(0.2, 1.0, 0.8);
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::TriCritProblem problem(inst.dag, inst.mapping, speeds, rel, base * 3.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, rel, base * 3.0);
 
   FrontierEngine engine(pool());
   FrontierOptions options;
@@ -359,7 +359,7 @@ TEST(FrontierSweep, UnknownSolverIsAnErrorNotInfeasibility) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.0);
 
   FrontierEngine engine(pool());
   FrontierOptions options;
@@ -378,7 +378,7 @@ TEST(FrontierSweep, SinglePointRangeAndFixedSolver) {
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const auto& inst = corpus.front();
   const double base = fmax_deadline(inst, speeds.fmax());
-  core::BiCritProblem problem(inst.dag, inst.mapping, speeds, base * 2.0);
+  core::Problem problem(inst.dag, inst.mapping, speeds, base * 2.0);
 
   FrontierEngine engine(pool());
   FrontierOptions options;

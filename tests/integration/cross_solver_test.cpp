@@ -42,10 +42,10 @@ TEST_P(ModelOrderingTest, ContinuousVddDiscreteOrdering) {
     const auto mapping = sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
     const auto levels = model::xscale_levels();
     const double D = fmax_makespan(dag, mapping, levels.back()) * slack;
-    core::BiCritProblem cont_p(dag, mapping,
-                               SpeedModel::continuous(levels.front(), levels.back()), D);
-    core::BiCritProblem vdd_p(dag, mapping, SpeedModel::vdd_hopping(levels), D);
-    core::BiCritProblem disc_p(dag, mapping, SpeedModel::discrete(levels), D);
+    core::Problem cont_p(dag, mapping,
+                         SpeedModel::continuous(levels.front(), levels.back()), D);
+    core::Problem vdd_p(dag, mapping, SpeedModel::vdd_hopping(levels), D);
+    core::Problem disc_p(dag, mapping, SpeedModel::discrete(levels), D);
     auto cont = api::solve(cont_p, "continuous-ipm");
     auto vdd = api::solve(vdd_p, "vdd-lp");
     auto disc = api::solve(disc_p, "discrete-bnb");
@@ -81,7 +81,7 @@ TEST(CrossSolver, ClosedFormVsIpmOnAllSpFamilies) {
       const auto& dag = dags[k];
       const auto mapping = sched::Mapping::one_task_per_processor(dag);
       const double D = fmax_makespan(dag, mapping, 1.0) * 1.3;  // any speed reachable
-      core::BiCritProblem p(dag, mapping, speeds, D);
+      core::Problem p(dag, mapping, speeds, D);
       auto cf = api::solve(p, "closed-form-sp");
       auto ipm = api::solve(p, "continuous-ipm");
       ASSERT_TRUE(cf.is_ok()) << k;
@@ -103,7 +103,7 @@ TEST(CrossSolver, IncrementalBnbWithinApproxBoundOfContinuous) {
     const auto mapping = sched::Mapping::single_processor(dag, topo);
     const auto inc = SpeedModel::incremental(0.3, 1.2, 0.15);
     const double D = dag.total_weight() / 1.2 * rng.uniform(1.2, 2.0);
-    core::BiCritProblem p(dag, mapping, inc, D);
+    core::Problem p(dag, mapping, inc, D);
     api::SolveOptions opts;
     opts.approx_K = 20;
     auto exact = api::solve(p, "discrete-bnb");
@@ -131,7 +131,7 @@ TEST(CrossSolver, TriCritChainGreedyVsHeuristicsVsExact) {
     double total = 0.0;
     for (double x : w) total += x;
     const double D = total / 0.8 * rng.uniform(1.3, 3.0);
-    core::TriCritProblem p(dag, mapping, speeds, rel, D);
+    core::Problem p(dag, mapping, speeds, rel, D);
     auto exact = tricrit::solve_chain_exact(w, D, rel, speeds);
     auto greedy = tricrit::solve_chain_greedy(w, D, rel, speeds);
     auto best = api::solve(p, "best-of");
@@ -160,7 +160,7 @@ TEST(CrossSolver, TriCritForkPolyVsHeuristics) {
     const auto dag = graph::make_fork(w);
     const auto mapping = sched::Mapping::one_task_per_processor(dag);
     const double D = fmax_makespan(dag, mapping, 1.0) / 0.8 * rng.uniform(1.4, 3.0);
-    core::TriCritProblem p(dag, mapping, speeds, rel, D);
+    core::Problem p(dag, mapping, speeds, rel, D);
     api::SolveOptions opts;
     opts.fork_grid = 2048;
     auto poly = api::solve(p, "fork-poly", opts);

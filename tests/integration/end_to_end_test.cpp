@@ -24,7 +24,7 @@ TEST(EndToEnd, BiCritAutoSolvesWholeCorpusContinuous) {
   common::Rng rng(201);
   for (const auto& inst : standard_corpus(rng, small_corpus())) {
     const double D = deadline_with_slack(inst, 1.0, 1.5);
-    BiCritProblem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), D);
+    Problem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), D);
     auto r = api::solve(p);
     ASSERT_TRUE(r.is_ok()) << inst.name << ": " << r.status().to_string();
     EXPECT_TRUE(p.check(r.value().schedule).is_ok()) << inst.name;
@@ -36,8 +36,8 @@ TEST(EndToEnd, BiCritVddSolvesWholeCorpus) {
   common::Rng rng(202);
   for (const auto& inst : standard_corpus(rng, small_corpus())) {
     const double D = deadline_with_slack(inst, 1.0, 1.6);
-    BiCritProblem p(inst.dag, inst.mapping,
-                    model::SpeedModel::vdd_hopping(model::xscale_levels()), D);
+    Problem p(inst.dag, inst.mapping,
+              model::SpeedModel::vdd_hopping(model::xscale_levels()), D);
     auto r = api::solve(p);
     ASSERT_TRUE(r.is_ok()) << inst.name << ": " << r.status().to_string();
     EXPECT_TRUE(p.check(r.value().schedule).is_ok()) << inst.name;
@@ -49,8 +49,8 @@ TEST(EndToEnd, TriCritBestOfSolvesWholeCorpus) {
   const model::ReliabilityModel rel(1e-5, 3.0, 0.1, 1.0, 0.8);
   for (const auto& inst : standard_corpus(rng, small_corpus())) {
     const double D = deadline_with_slack(inst, 1.0, 2.0) / 0.8;
-    TriCritProblem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), rel,
-                     D);
+    Problem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), rel,
+              D);
     auto r = api::solve(p, "best-of");
     ASSERT_TRUE(r.is_ok()) << inst.name << ": " << r.status().to_string();
     EXPECT_TRUE(p.check(r.value().schedule).is_ok()) << inst.name;
@@ -63,7 +63,7 @@ TEST(EndToEnd, TriCritScheduleSurvivesFaultInjection) {
   auto corpus = standard_corpus(rng, small_corpus());
   const auto& inst = corpus.front();  // chain
   const double D = deadline_with_slack(inst, 1.0, 2.5) / 0.8;
-  TriCritProblem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), rel, D);
+  Problem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0), rel, D);
   auto r = api::solve(p, "best-of");
   ASSERT_TRUE(r.is_ok());
   sim::SimOptions opt;
@@ -87,7 +87,7 @@ TEST(EndToEnd, EnergyDeadlineParetoMonotone) {
     double prev = 1e300;
     for (double slack : {1.2, 1.6, 2.4, 4.0}) {
       const double D = deadline_with_slack(inst, 1.0, slack);
-      BiCritProblem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.05, 1.0), D);
+      Problem p(inst.dag, inst.mapping, model::SpeedModel::continuous(0.05, 1.0), D);
       auto r = api::solve(p, "continuous-ipm");
       ASSERT_TRUE(r.is_ok()) << inst.name << " slack " << slack;
       EXPECT_LE(r.value().energy, prev * (1.0 + 1e-7)) << inst.name;
@@ -103,9 +103,9 @@ TEST(EndToEnd, TriCritEnergyAtMostBiCritWithFrelFloor) {
   const model::ReliabilityModel rel(1e-5, 3.0, 0.1, 1.0, 0.8);
   for (const auto& inst : standard_corpus(rng, small_corpus())) {
     const double D = deadline_with_slack(inst, 1.0, 3.0) / 0.8;
-    TriCritProblem tri(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0),
-                       rel, D);
-    BiCritProblem bi(inst.dag, inst.mapping, model::SpeedModel::continuous(0.8, 1.0), D);
+    Problem tri(inst.dag, inst.mapping, model::SpeedModel::continuous(0.1, 1.0),
+                rel, D);
+    Problem bi(inst.dag, inst.mapping, model::SpeedModel::continuous(0.8, 1.0), D);
     auto r_tri = api::solve(tri, "best-of");
     auto r_bi = api::solve(bi, "continuous-ipm");
     if (!r_bi.is_ok()) continue;

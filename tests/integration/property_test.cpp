@@ -59,7 +59,7 @@ TEST_P(SolverPropertyTest, AllBiCritSolversFeasibleAndOrdered) {
   const auto cont_model = model::SpeedModel::continuous(levels.front(), levels.back());
   auto cont = bicrit::solve_continuous(inst.dag, inst.mapping, D, cont_model);
   ASSERT_TRUE(cont.is_ok()) << cont.status().to_string();
-  core::BiCritProblem cont_problem(inst.dag, inst.mapping, cont_model, D);
+  core::Problem cont_problem(inst.dag, inst.mapping, cont_model, D);
   EXPECT_TRUE(cont_problem.check(cont.value().schedule).is_ok());
 
   // Registry solver names stand in for the retired core::BiCritSolver
@@ -78,7 +78,7 @@ TEST_P(SolverPropertyTest, AllBiCritSolversFeasibleAndOrdered) {
   api::SolveOptions options;
   options.approx_K = 10;
   for (const auto& c : candidates) {
-    core::BiCritProblem p(inst.dag, inst.mapping, c.speeds, D);
+    core::Problem p(inst.dag, inst.mapping, c.speeds, D);
     auto r = api::solve(p, c.name, options);
     ASSERT_TRUE(r.is_ok()) << c.name << ": " << r.status().to_string();
     EXPECT_TRUE(p.check(r.value().schedule).is_ok()) << c.name;           // P1
@@ -109,7 +109,7 @@ TEST_P(SolverPropertyTest, TriCritNeverWorseThanFrelFlooredBiCrit) {
   auto tri = tricrit::heuristic_best_of(inst.dag, inst.mapping, D, rel, speeds);
   ASSERT_TRUE(tri.is_ok()) << tri.status().to_string();
   // Validator with reliability on.
-  core::TriCritProblem p(inst.dag, inst.mapping, speeds, rel, D);
+  core::Problem p(inst.dag, inst.mapping, speeds, rel, D);
   EXPECT_TRUE(p.check(tri.value().schedule).is_ok());
   // Baseline: the frel-floored BI-CRIT (no re-execution allowed).
   auto base = bicrit::solve_continuous(inst.dag, inst.mapping, D,

@@ -58,7 +58,7 @@ TEST_P(StressTest, BiCritAutoAlwaysFeasibleOrCleanlyInfeasible) {
       speeds = rng.bernoulli(0.5) ? model::SpeedModel::vdd_hopping(levels)
                                   : model::SpeedModel::discrete(levels);
     }
-    core::BiCritProblem p(std::move(dag), std::move(mapping), std::move(speeds), D);
+    core::Problem p(std::move(dag), std::move(mapping), std::move(speeds), D);
     auto r = api::solve(p);
     if (D < base * (1.0 - 1e-9)) {
       EXPECT_FALSE(r.is_ok()) << "round " << round << ": accepted infeasible deadline";
@@ -92,8 +92,8 @@ TEST_P(StressTest, TriCritBestOfAlwaysValidates) {
     }
     const double base = graph::time_analysis(mapping.augmented_graph(dag), d, 0.0).makespan;
     const double D = base / frel * rng.uniform(1.05, 4.0);
-    core::TriCritProblem p(std::move(dag), std::move(mapping),
-                           model::SpeedModel::continuous(fmin, fmax), rel, D);
+    core::Problem p(std::move(dag), std::move(mapping),
+                    model::SpeedModel::continuous(fmin, fmax), rel, D);
     auto r = api::solve(p, "best-of");
     ASSERT_TRUE(r.is_ok()) << "round " << round << ": " << r.status().to_string();
     EXPECT_TRUE(p.check(r.value().schedule).is_ok()) << "round " << round;

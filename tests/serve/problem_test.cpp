@@ -56,8 +56,8 @@ TEST(ProblemMemo, RepeatSpecReturnsTheSameBuiltProblem) {
   auto second = memo.get(spec);
   ASSERT_TRUE(first.is_ok()) << first.status().to_string();
   ASSERT_TRUE(second.is_ok());
-  EXPECT_EQ(first.value().bicrit.get(), second.value().bicrit.get());
-  EXPECT_EQ(first.value().tricrit, nullptr);
+  EXPECT_EQ(first.value().get(), second.value().get());
+  EXPECT_EQ(first.value()->kind(), core::ProblemKind::kBiCrit);
   // A 32-task problem is charged a few KB: the budget holds dozens.
   EXPECT_GT(memo.bytes(), footprint_bytes(first.value()));
   EXPECT_LT(memo.bytes(), ProblemMemo::kBudgetBytes / 32);
@@ -68,8 +68,8 @@ TEST(ProblemMemo, RepeatSpecReturnsTheSameBuiltProblem) {
   later.deadline = 120.0;
   auto third = memo.get(later);
   ASSERT_TRUE(third.is_ok());
-  EXPECT_NE(third.value().bicrit.get(), first.value().bicrit.get());
-  EXPECT_EQ(third.value().bicrit->deadline, 120.0);
+  EXPECT_NE(third.value().get(), first.value().get());
+  EXPECT_EQ(third.value()->deadline, 120.0);
 
   EXPECT_EQ(series.hits->value(), 1u);
   EXPECT_EQ(series.misses->value(), 2u);

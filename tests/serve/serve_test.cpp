@@ -5,6 +5,11 @@
 //   * sweep -> resweep chains through SweepResponse::probes;
 //   * the per-tenant quota sheds with OVERLOADED under pipelined load
 //     while a second tenant's traffic is still admitted (fairness);
+//   * TRI-CRIT solves and reliability-axis sweeps answer exactly what
+//     the local api and engine answer; a reliability sweep of a BI-CRIT
+//     problem is refused;
+//   * a burst past a one-worker daemon's queue sheds the excess as
+//     OVERLOADED and serves the rest;
 //   * a version-mismatch Hello is refused in the handshake;
 //   * a CRC-corrupt frame costs one ErrorResponse, not the connection;
 //   * a request sent before the handshake closes the connection.
@@ -51,7 +56,7 @@ namespace {
 /// A reproducible wire problem plus its locally-built equivalent.
 struct TestProblem {
   ProblemSpec spec;
-  core::BiCritProblem local;
+  core::Problem local;
 };
 
 TestProblem make_problem(std::uint64_t seed, int tasks, double slack) {
@@ -72,9 +77,19 @@ TestProblem make_problem(std::uint64_t seed, int tasks, double slack) {
   spec.fmin = 0.1;
   spec.fmax = 1.0;
   spec.deadline = deadline;
-  core::BiCritProblem local(dag, mapping, model::SpeedModel::continuous(0.1, 1.0),
-                            deadline);
+  core::Problem local(dag, mapping, model::SpeedModel::continuous(0.1, 1.0), deadline);
   return {std::move(spec), std::move(local)};
+}
+
+/// make_problem's instance as TRI-CRIT at threshold speed `frel`, on the
+/// wire and locally, with the reliability statics the daemon rebuilds.
+TestProblem make_tricrit_problem(std::uint64_t seed, int tasks, double slack,
+                                 double frel) {
+  TestProblem p = make_problem(seed, tasks, slack);
+  p.spec.tricrit = true;
+  p.spec.frel = frel;
+  p.local.reliability.emplace(p.spec.lambda0, p.spec.dexp, p.spec.fmin, p.spec.fmax, frel);
+  return p;
 }
 
 /// An Engine + running Server on an ephemeral loopback port. Heap-held:
@@ -405,6 +420,151 @@ TEST(Serve, SweepThenResweepChainsThroughProbes) {
     EXPECT_EQ(second.value().points[i].solver, first.value().points[i].solver);
   }
 
+  daemon.server->stop();
+}
+
+TEST(Serve, RemoteTriCritSolveMatchesLocalApi) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_tricrit_problem(31, 10, 2.0, 0.8);
+  const auto local = api::solve(problem.local);
+  ASSERT_TRUE(local.is_ok()) << local.status().to_string();
+  ASSERT_EQ(local.value().problem, api::ProblemKind::kTriCrit);
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  SolveRequest request;
+  request.problem = problem.spec;
+  auto response = client.value().solve(std::move(request));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  ASSERT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+  EXPECT_EQ(response.value().energy, local.value().energy);
+  EXPECT_EQ(response.value().makespan, local.value().makespan);
+  EXPECT_EQ(response.value().solver, local.value().solver);
+  EXPECT_EQ(response.value().iterations, local.value().iterations);
+  EXPECT_EQ(response.value().re_executed, local.value().re_executed);
+  EXPECT_EQ(response.value().exact, local.value().exact);
+  daemon.server->stop();
+}
+
+TEST(Serve, RemoteReliabilitySweepMatchesLocalEngine) {
+  auto daemon = Daemon::start({}, {});
+  const double rmin = 0.5;
+  const double rmax = 0.9;
+  // The daemon anchors a reliability sweep at frel = hi.
+  const auto problem = make_tricrit_problem(32, 8, 2.2, rmax);
+
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  SweepRequest sweep;
+  sweep.problem = problem.spec;
+  sweep.problem.frel = 0.7;  // overridden per probe: the axis sets frel
+  sweep.axis = WireAxis::kReliability;
+  sweep.lo = rmin;
+  sweep.hi = rmax;
+  sweep.initial_points = 5;
+  sweep.max_points = 9;
+  auto remote = client.value().sweep(sweep);
+  ASSERT_TRUE(remote.is_ok()) << remote.status().to_string();
+  ASSERT_TRUE(remote.value().status.is_ok()) << remote.value().status.to_string();
+  EXPECT_EQ(remote.value().axis, WireAxis::kReliability);
+
+  auto local_engine = engine::Engine::create({});
+  ASSERT_TRUE(local_engine.is_ok());
+  frontier::FrontierOptions fopt;
+  fopt.initial_points = sweep.initial_points;
+  fopt.max_points = sweep.max_points;
+  const auto local = local_engine.value().sweep(
+      engine::FrontierQuery::reliability(problem.local, rmin, rmax, fopt));
+  ASSERT_TRUE(local.error.is_ok()) << local.error.to_string();
+  ASSERT_FALSE(local.points.empty());
+  ASSERT_EQ(remote.value().points.size(), local.points.size());
+  for (std::size_t i = 0; i < local.points.size(); ++i) {
+    EXPECT_EQ(remote.value().points[i].constraint, local.points[i].constraint);
+    EXPECT_EQ(remote.value().points[i].energy, local.points[i].energy);
+    EXPECT_EQ(remote.value().points[i].makespan, local.points[i].makespan);
+    EXPECT_EQ(remote.value().points[i].solver, local.points[i].solver);
+    EXPECT_EQ(remote.value().points[i].exact, local.points[i].exact);
+  }
+  EXPECT_EQ(remote.value().probes, local.probes);
+  daemon.server->stop();
+}
+
+TEST(Serve, ReliabilitySweepOfBiCritSpecIsRejected) {
+  auto daemon = Daemon::start({}, {});
+  const auto problem = make_problem(33, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  SweepRequest sweep;
+  sweep.problem = problem.spec;
+  sweep.axis = WireAxis::kReliability;
+  sweep.lo = 0.5;
+  sweep.hi = 0.9;
+  auto response = client.value().sweep(std::move(sweep));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
+      << response.value().status.to_string();
+  EXPECT_TRUE(response.value().points.empty());
+  daemon.server->stop();
+}
+
+TEST(Serve, OverloadBurstShedsTheExcessAndServesTheRest) {
+  engine::EngineConfig econfig;
+  econfig.threads = 1;
+  econfig.max_queued_jobs = 4;
+  ServerConfig sconfig;
+  sconfig.tenant_quota = 8;
+  auto daemon = Daemon::start(std::move(econfig), std::move(sconfig));
+  GateHold hold;
+
+  const auto problem = make_problem(34, 8, 1.6);
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "burst");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  // A burst of 16 distinct sweeps (each deadline perturbed, so none rides
+  // the cache). The first parks the only worker at the gate, so the rest
+  // all arrive while the daemon can queue at most four of them.
+  constexpr int kBurst = 16;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kBurst; ++i) {
+    SweepRequest request;
+    request.request_id = client.value().next_request_id();
+    request.problem = problem.spec;
+    request.problem.deadline = problem.spec.deadline * (1.0 + 0.01 * i);
+    request.axis = WireAxis::kDeadline;
+    request.lo = request.problem.deadline * 0.5;
+    request.hi = request.problem.deadline;
+    request.initial_points = 5;
+    request.max_points = 9;
+    if (i == 0) request.solver = std::string(gate_solver().name());
+    ASSERT_TRUE(client.value().send(request).is_ok());
+    ids.push_back(request.request_id);
+    if (i == 0) gate_solver().wait_entered();
+  }
+  while (daemon.server->stats().requests < static_cast<std::uint64_t>(kBurst)) {
+    std::this_thread::yield();
+  }
+  hold.release();
+
+  std::size_t shed = 0;
+  std::size_t served = 0;
+  for (const auto id : ids) {
+    auto response = client.value().wait_sweep(id);
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    const common::Status& status = response.value().status;
+    if (status.code() == common::StatusCode::kOverloaded) {
+      ++shed;
+    } else {
+      EXPECT_TRUE(status.is_ok()) << status.to_string();
+      EXPECT_FALSE(response.value().points.empty());
+      ++served;
+    }
+  }
+  // The gated sweep and the four it queued are served; the sixth request
+  // already met a full queue.
+  EXPECT_GE(served, 5u);
+  EXPECT_GE(shed, 1u);
+  EXPECT_EQ(served + shed, static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(daemon.server->stats().shed, shed);
   daemon.server->stop();
 }
 

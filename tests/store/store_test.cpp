@@ -44,13 +44,13 @@ graph::Dag diamond_dag() {
   return dag;
 }
 
-core::BiCritProblem diamond_problem(double deadline, double base_weight = 2.0) {
+core::Problem diamond_problem(double deadline, double base_weight = 2.0) {
   auto dag = diamond_dag();
   dag.set_weight(0, base_weight);
   const auto mapping =
       sched::list_schedule(dag, 2, sched::PriorityPolicy::kCriticalPath);
-  return core::BiCritProblem(std::move(dag), mapping,
-                             model::SpeedModel::continuous(0.2, 1.0), deadline);
+  return core::Problem(std::move(dag), mapping,
+                       model::SpeedModel::continuous(0.2, 1.0), deadline);
 }
 
 SolveStore open_or_die(StoreOptions options) {
