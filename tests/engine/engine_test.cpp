@@ -566,6 +566,13 @@ TEST(Engine, InvalidQueriesSurfaceStatusesNotCrashes) {
   const auto problem = random_bicrit(99, 8, 1.6);
   auto invalid_range = engine.submit(FrontierQuery::deadline(problem, -1.0, 2.0));
   EXPECT_FALSE(invalid_range.get().error.is_ok());
+
+  // A reliability sweep of a problem with no reliability model, on the
+  // asynchronous and the synchronous path alike.
+  auto no_model = engine.submit(FrontierQuery::reliability(problem, 0.4, 0.9));
+  EXPECT_EQ(no_model.get().error.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.sweep(FrontierQuery::reliability(problem, 0.4, 0.9)).error.code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 TEST(Engine, StoreBackedEngineReplaysAcrossRestart) {
