@@ -6,10 +6,12 @@
 # clean SIGTERM shutdown, restarts the daemon on the same store and
 # requires the first solve's answer byte for byte, read back from the
 # store with no solver call, checks a --trace-out run emits Chrome
-# trace_event JSON replaying the job lifecycle. A TRI-CRIT solve (--frel)
-# and a reliability-axis sweep (--rmin/--rmax) sent through the daemon
-# must match the local CLI on the same DAG. scripts/ci.sh runs this as
-# its serve stage.
+# trace_event JSON replaying the job lifecycle. Remote solves (BI-CRIT and
+# TRI-CRIT) must print what the local CLI prints on the same DAG, wall
+# time aside, and a reliability-axis sweep the local frontier table. Every
+# remote verb the CLI's usage declares must be driven here, and frontier
+# CSV and JSON exports must be byte-identical at 1 and 4 threads.
+# scripts/ci.sh runs this as its serve stage.
 #
 #   scripts/serve_smoke.sh [build-dir]
 #
@@ -100,6 +102,18 @@ grep -q '^frontier:' "$tmp_dir/sweep.out"
 "$build_dir/easched_cli" remote "127.0.0.1:$port" stat | tee "$tmp_dir/stat.out"
 grep -q "tenant 'default': 2 accepted" "$tmp_dir/stat.out"
 
+# Every remote verb in the usage text must be one this script drives.
+driven="solve sweep stat"
+declared="$("$build_dir/easched_cli" 2>&1 |
+  sed -n 's/^ *easched_cli remote <host:port> \([a-z]*\).*/\1/p' || true)"
+[[ -n "$declared" ]]
+for verb in $declared; do
+  if [[ " $driven " != *" $verb "* ]]; then
+    echo "serve_smoke: remote verb '$verb' is declared but not driven" >&2
+    exit 1
+  fi
+done
+
 # ---- scrape the live daemon's metrics twice -----------------------------
 # `remote stat --deep` appends the daemon's full text exposition to the
 # stat line. Two scrapes: the exposition must parse line-by-line and the
@@ -162,12 +176,14 @@ for name in easched_serve_problem_memo_hits_total \
 done
 echo "serve_smoke: repeat solve served from the memo and the cache"
 
-# ---- TRI-CRIT over the wire matches the local CLI -----------------------
-# A --frel solve and a reliability-axis sweep take the daemon's TRI-CRIT
-# path; each must report what the local CLI computes on the same DAG: the
-# solve's solver/energy/makespan lines and the sweep's frontier table.
-solve_lines() { grep -E '^(solver|energy|makespan):' "$1"; }
+# ---- remote solves and sweeps match the local CLI ------------------------
+# A BI-CRIT and a --frel solve print the local CLI's report on the same
+# DAG, line for line but the wall time; a reliability-axis sweep takes
+# the daemon's TRI-CRIT path and prints the local frontier table.
+solve_lines() { grep -v '^wall time:' "$1"; }
 table_lines() { sed '/^$/q' "$1"; }
+"$build_dir/easched_cli" "$tmp_dir/smoke.dag" --deadline 14 > "$tmp_dir/solve_local.out"
+cmp <(solve_lines "$tmp_dir/solve.out") <(solve_lines "$tmp_dir/solve_local.out")
 "$build_dir/easched_cli" remote "127.0.0.1:$port" solve "$tmp_dir/smoke.dag" \
   --deadline 20 --frel 0.8 > "$tmp_dir/tri_remote.out"
 "$build_dir/easched_cli" "$tmp_dir/smoke.dag" --deadline 20 --frel 0.8 \
@@ -183,7 +199,7 @@ cmp <(solve_lines "$tmp_dir/tri_remote.out") <(solve_lines "$tmp_dir/tri_local.o
   > "$tmp_dir/rel_local.out"
 grep -q '^frontier: [1-9][0-9]* points' "$tmp_dir/rel_remote.out"
 cmp <(table_lines "$tmp_dir/rel_remote.out") <(table_lines "$tmp_dir/rel_local.out")
-echo "serve_smoke: remote TRI-CRIT solve and reliability sweep match the local CLI"
+echo "serve_smoke: remote solves and the reliability sweep match the local CLI"
 
 # ---- clean SIGTERM shutdown ---------------------------------------------
 stop_daemon "$tmp_dir/daemon.log"
@@ -231,5 +247,18 @@ PY
   --points 5 --max-points 9 --csv \
   --no-metrics > "$tmp_dir/sweep_off.csv"
 cmp "$tmp_dir/sweep_on.csv" "$tmp_dir/sweep_off.csv"
+
+# Frontier exports do not depend on the pool size: CSV byte for byte, and
+# JSON once its wall_ms field is removed.
+for threads in 1 4; do
+  "$build_dir/easched_cli" frontier "$tmp_dir/smoke.dag" --dmin 8 --dmax 14 \
+    --threads "$threads" --csv > "$tmp_dir/sweep_t$threads.csv"
+  "$build_dir/easched_cli" frontier "$tmp_dir/smoke.dag" --dmin 8 --dmax 14 \
+    --threads "$threads" --json |
+    sed -E 's/"wall_ms": [^,}]*//g' > "$tmp_dir/sweep_t$threads.json"
+done
+grep -q '"points": \[{' "$tmp_dir/sweep_t1.json"
+cmp "$tmp_dir/sweep_t1.csv" "$tmp_dir/sweep_t4.csv"
+cmp "$tmp_dir/sweep_t1.json" "$tmp_dir/sweep_t4.json"
 echo "serve_smoke: trace + bit-identity OK"
 echo "serve_smoke: OK"

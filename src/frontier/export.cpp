@@ -1,36 +1,19 @@
 #include "frontier/export.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "common/table.hpp"
+#include "obs/export.hpp"
 
 namespace easched::frontier {
 namespace {
 
-/// %.17g: enough digits that strtod reconstructs the exact double.
-std::string format_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 void write_point_json(const FrontierPoint& p, std::ostream& os) {
-  os << "{\"constraint\": " << format_exact(p.constraint)
-     << ", \"energy\": " << format_exact(p.energy)
-     << ", \"makespan\": " << format_exact(p.makespan) << ", \"solver\": \""
-     << json_escape(p.solver) << "\", \"exact\": " << (p.exact ? "true" : "false")
+  os << "{\"constraint\": " << obs::format_double(p.constraint)
+     << ", \"energy\": " << obs::format_double(p.energy)
+     << ", \"makespan\": " << obs::format_double(p.makespan) << ", \"solver\": \""
+     << obs::json_escape(p.solver) << "\", \"exact\": " << (p.exact ? "true" : "false")
      << "}";
 }
 
@@ -48,9 +31,9 @@ void write_frontier_json_value(const FrontierResult& result, std::ostream& os) {
      << ", \"evaluated\": " << result.evaluated
      << ", \"infeasible\": " << result.infeasible
      << ", \"cache_hits\": " << result.cache_hits
-     << ", \"wall_ms\": " << format_exact(result.wall_ms);
+     << ", \"wall_ms\": " << obs::format_double(result.wall_ms);
   if (!result.error.is_ok()) {
-    os << ", \"error\": \"" << json_escape(result.error.to_string()) << "\"";
+    os << ", \"error\": \"" << obs::json_escape(result.error.to_string()) << "\"";
   }
   os << ", \"points\": ";
   write_points_json(result.points, os);
@@ -64,8 +47,8 @@ void write_frontier_json_value(const FrontierResult& result, std::ostream& os) {
 void write_frontier_csv(const FrontierResult& result, std::ostream& os) {
   common::Table table({"constraint", "energy", "makespan", "solver", "exact"});
   for (const auto& p : result.points) {
-    table.add_row({format_exact(p.constraint), format_exact(p.energy),
-                   format_exact(p.makespan), p.solver, p.exact ? "1" : "0"});
+    table.add_row({obs::format_double(p.constraint), obs::format_double(p.energy),
+                   obs::format_double(p.makespan), p.solver, p.exact ? "1" : "0"});
   }
   table.write_csv(os);
 }
@@ -79,8 +62,8 @@ void write_comparison_csv(const FrontierComparison& comparison, std::ostream& os
   common::Table table({"solver", "constraint", "energy", "makespan", "exact"});
   for (const auto& sf : comparison.solvers) {
     for (const auto& p : sf.result.points) {
-      table.add_row({sf.solver, format_exact(p.constraint), format_exact(p.energy),
-                     format_exact(p.makespan), p.exact ? "1" : "0"});
+      table.add_row({sf.solver, obs::format_double(p.constraint), obs::format_double(p.energy),
+                     obs::format_double(p.makespan), p.exact ? "1" : "0"});
     }
   }
   table.write_csv(os);
@@ -90,7 +73,7 @@ void write_comparison_json(const FrontierComparison& comparison, std::ostream& o
   os << "{\"axis\": \"" << to_string(comparison.axis) << "\", \"solvers\": [";
   for (std::size_t i = 0; i < comparison.solvers.size(); ++i) {
     if (i != 0) os << ", ";
-    os << "{\"solver\": \"" << json_escape(comparison.solvers[i].solver)
+    os << "{\"solver\": \"" << obs::json_escape(comparison.solvers[i].solver)
        << "\", \"frontier\": ";
     write_frontier_json_value(comparison.solvers[i].result, os);
     os << "}";
@@ -99,8 +82,9 @@ void write_comparison_json(const FrontierComparison& comparison, std::ostream& o
   for (std::size_t i = 0; i < comparison.segments.size(); ++i) {
     if (i != 0) os << ", ";
     const auto& seg = comparison.segments[i];
-    os << "{\"lo\": " << format_exact(seg.lo) << ", \"hi\": " << format_exact(seg.hi)
-       << ", \"solver\": \"" << json_escape(seg.solver) << "\"}";
+    os << "{\"lo\": " << obs::format_double(seg.lo)
+       << ", \"hi\": " << obs::format_double(seg.hi) << ", \"solver\": \""
+       << obs::json_escape(seg.solver) << "\"}";
   }
   os << "]}\n";
 }

@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -27,11 +28,20 @@ void write_text(const Dag& dag, std::ostream& os) {
   }
 }
 
-common::Result<Dag> read_text(std::istream& is) {
+common::Result<Dag> from_text(const std::string& text) {
+  // The shortest task line, "task 0 0", is 8 bytes. Bounding the declared
+  // count by the text's length keeps a short header from allocating tasks
+  // the input cannot hold.
+  constexpr std::size_t kMinTaskLineBytes = 8;
+  std::istringstream is(text);
   std::string keyword;
   int n = -1;
   if (!(is >> keyword >> n) || keyword != "dag" || n < 0) {
     return common::Status::invalid("expected header 'dag <n>'");
+  }
+  if (static_cast<std::size_t>(n) > text.size() / kMinTaskLineBytes) {
+    return common::Status::invalid("header declares " + std::to_string(n) +
+                                   " tasks, more than the text's task lines can hold");
   }
   Dag dag;
   std::vector<bool> seen(static_cast<std::size_t>(n), false);
@@ -44,7 +54,11 @@ common::Result<Dag> read_text(std::istream& is) {
       if (!(is >> id >> w)) return common::Status::invalid("bad task line");
       if (id < 0 || id >= n) return common::Status::invalid("task id out of range");
       if (w < 0.0) return common::Status::invalid("negative weight");
-      is >> name;  // required by the format (write_text always emits it)
+      // The name is optional: read one only if it starts on this line.
+      std::streambuf& buf = *is.rdbuf();
+      int c = buf.sgetc();
+      while (c == ' ' || c == '\t') c = buf.snextc();
+      if (c != '\n' && c != '\r' && c != std::char_traits<char>::eof()) is >> name;
       dag.set_weight(id, w);
       if (!name.empty()) dag.set_name(id, std::move(name));
       seen[static_cast<std::size_t>(id)] = true;
@@ -74,9 +88,8 @@ std::string to_text(const Dag& dag) {
   return os.str();
 }
 
-common::Result<Dag> from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
+common::Result<Dag> read_text(std::istream& is) {
+  return from_text(std::string(std::istreambuf_iterator<char>(is), {}));
 }
 
 }  // namespace easched::graph

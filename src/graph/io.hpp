@@ -21,7 +21,8 @@ void write_dot(const Dag& dag, std::ostream& os);
 /// Writes the text format described above.
 void write_text(const Dag& dag, std::ostream& os);
 
-/// Parses the text format; validates ids and acyclicity.
+/// Parses the text format; validates ids and acyclicity, and rejects a
+/// declared task count the text is too short to hold before allocating.
 common::Result<Dag> read_text(std::istream& is);
 
 /// Round-trip helpers on strings.

@@ -57,9 +57,9 @@ common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadl
   if (!(deadline > 0.0)) {
     return common::Status::invalid("ProblemSpec: deadline must be > 0");
   }
-  auto dag = graph::from_text(spec.dag_text);
-  if (!dag.is_ok()) return dag.status();
   try {
+    auto dag = graph::from_text(spec.dag_text);
+    if (!dag.is_ok()) return dag.status();
     model::SpeedModel speeds = [&] {
       switch (spec.speed_kind) {
         case model::SpeedModelKind::kDiscrete:

@@ -31,13 +31,15 @@ namespace easched::serve {
 using BuiltProblem = std::shared_ptr<const core::Problem>;
 
 /// Rebuilds the problem a ProblemSpec describes, with the mapping
-/// recomputed by the same critical-path list scheduler the CLI uses.
-/// `deadline` overrides the spec's (deadline sweeps anchor the problem at
-/// the axis maximum, mirroring the CLI). Scalar checks, including the
-/// kMaxProcessors bound, run before anything is allocated. Model
-/// constructors treat bad parameters as precondition violations
-/// (logic_error); at this trust boundary the peer's bytes are data, not
-/// preconditions, so those throws degrade into kInvalidArgument.
+/// recomputed by the critical-path list scheduler. The CLI builds its
+/// local problems here too. `deadline` overrides the spec's (deadline
+/// sweeps anchor the problem at the axis maximum). Scalar checks,
+/// including the kMaxProcessors bound, run before anything is allocated,
+/// and the DAG parser bounds the declared task count by the text's
+/// length. Model constructors treat bad parameters as precondition
+/// violations (logic_error); at this trust boundary the peer's bytes are
+/// data, not preconditions, so those throws degrade into
+/// kInvalidArgument.
 common::Result<BuiltProblem> build_problem(const ProblemSpec& spec, double deadline);
 
 /// Resident bytes of a built problem: the heap blocks of its DAG,

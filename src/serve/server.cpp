@@ -422,6 +422,13 @@ struct Server::Impl {
       reject(built.status());
       return;
     }
+    // build_problem has range-checked hi as the reliability threshold;
+    // a lo below fmin would fail the sweep only on a worker.
+    if (reliability && msg.lo < built.value()->reliability->fmin()) {
+      reject(common::Status::invalid(
+          "SweepRequest: reliability sweeps need fmin <= lo <= hi <= fmax"));
+      return;
+    }
     if (!admit(conn, msg.request_id, /*is_sweep=*/true)) return;
     const auto arrival = conn.tenant->m_latency_ms != nullptr
                              ? std::chrono::steady_clock::now()

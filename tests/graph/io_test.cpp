@@ -63,6 +63,25 @@ TEST(GraphIo, RejectsBadHeader) {
   EXPECT_FALSE(from_text("").is_ok());
 }
 
+TEST(GraphIo, TaskNameIsOptional) {
+  auto parsed = from_text("dag 2\ntask 0 2\ntask 1 3 \r\nedge 0 1\n");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().name(0), "T0");
+  EXPECT_EQ(parsed.value().name(1), "T1");
+  EXPECT_DOUBLE_EQ(parsed.value().weight(1), 3.0);
+  EXPECT_TRUE(parsed.value().has_edge(0, 1));
+}
+
+TEST(GraphIo, RejectsTaskCountTheTextCannotHold) {
+  // Rejected from the header alone: nothing is allocated for the tasks.
+  const auto huge = from_text("dag 2000000000");
+  ASSERT_FALSE(huge.is_ok());
+  EXPECT_EQ(huge.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(from_text("dag 3\ntask 0 1\ntask 1 1\n").is_ok());
+  // Shortest task lines: exactly what "task i w" per task can hold.
+  EXPECT_TRUE(from_text("dag 2\ntask 0 1\ntask 1 1").is_ok());
+}
+
 TEST(GraphIo, RejectsOutOfRangeIds) {
   EXPECT_FALSE(from_text("dag 1\ntask 0 1.0 a\nedge 0 5\n").is_ok());
   EXPECT_FALSE(from_text("dag 1\ntask 3 1.0 a\n").is_ok());

@@ -36,6 +36,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -385,6 +386,30 @@ TEST(Serve, ProcessorCountAboveBoundIsRejected) {
   daemon.server->stop();
 }
 
+TEST(Serve, TaskCountTheTextCannotHoldIsRejected) {
+  auto daemon = Daemon::start({}, {});
+  auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
+  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+  // Fourteen bytes declaring two billion tasks: rejected on the poll
+  // thread before anything is allocated for them.
+  SolveRequest bad;
+  bad.problem = make_problem(30, 8, 1.6).spec;
+  bad.problem.dag_text = "dag 2000000000";
+  auto response = client.value().solve(std::move(bad));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
+      << response.value().status.to_string();
+
+  // The daemon still answers on the same connection.
+  SolveRequest good;
+  good.problem = make_problem(30, 8, 1.6).spec;
+  response = client.value().solve(std::move(good));
+  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+  EXPECT_TRUE(response.value().status.is_ok()) << response.value().status.to_string();
+  daemon.server->stop();
+}
+
 TEST(Serve, SweepThenResweepChainsThroughProbes) {
   auto daemon = Daemon::start({}, {});
   const auto problem = make_problem(22, 10, 1.8);
@@ -489,21 +514,31 @@ TEST(Serve, RemoteReliabilitySweepMatchesLocalEngine) {
   daemon.server->stop();
 }
 
-TEST(Serve, ReliabilitySweepOfBiCritSpecIsRejected) {
+TEST(Serve, ReliabilitySweepOutsideTheModelIsRejectedBeforeAdmission) {
   auto daemon = Daemon::start({}, {});
-  const auto problem = make_problem(33, 8, 1.6);
   auto client = Client::connect("127.0.0.1", daemon.server->port(), "tenant-a");
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
-  SweepRequest sweep;
-  sweep.problem = problem.spec;
-  sweep.axis = WireAxis::kReliability;
-  sweep.lo = 0.5;
-  sweep.hi = 0.9;
-  auto response = client.value().sweep(std::move(sweep));
-  ASSERT_TRUE(response.is_ok()) << response.status().to_string();
-  EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
-      << response.value().status.to_string();
-  EXPECT_TRUE(response.value().points.empty());
+  // A BI-CRIT spec has no reliability axis; a TRI-CRIT one at fmin 0.1
+  // has none below 0.1.
+  const std::pair<ProblemSpec, double> cases[] = {
+      {make_problem(33, 8, 1.6).spec, 0.5},
+      {make_tricrit_problem(33, 8, 2.2, 0.9).spec, 0.05},
+  };
+  for (const auto& [spec, lo] : cases) {
+    SweepRequest sweep;
+    sweep.problem = spec;
+    sweep.axis = WireAxis::kReliability;
+    sweep.lo = lo;
+    sweep.hi = 0.9;
+    auto response = client.value().sweep(std::move(sweep));
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    EXPECT_EQ(response.value().status.code(), common::StatusCode::kInvalidArgument)
+        << response.value().status.to_string();
+    EXPECT_TRUE(response.value().points.empty());
+  }
+  auto stat = client.value().stat();
+  ASSERT_TRUE(stat.is_ok()) << stat.status().to_string();
+  EXPECT_EQ(stat.value().tenant_accepted, 0u);
   daemon.server->stop();
 }
 
