@@ -14,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "sched/list_scheduler.hpp"
 #include "tricrit/chain.hpp"
+#include "tricrit/heuristics.hpp"
 
 namespace easched {
 namespace {
@@ -191,6 +192,29 @@ TEST(CrossSolver, TriCritReducesToBiCritWithoutSlackForReexec) {
   ASSERT_TRUE(tri.is_ok());
   ASSERT_TRUE(bi.is_ok());
   EXPECT_NEAR(tri.value().solution.energy, bi.value().energy, 1e-4 * bi.value().energy);
+}
+
+TEST(CrossSolver, TriCritWithoutReexecMatchesBiCritAtFrelOnA32TaskDag) {
+  // With no task re-executed, the TRI-CRIT speed program is BI-CRIT's with
+  // the speed floor raised from fmin to frel: same coefficients w^3, same
+  // bounds [w/fmax, w/frel]. Checked at interior deadlines, where both
+  // answers come from the barrier and not from a boundary case.
+  common::Rng rng(2024);
+  const auto dag = graph::make_random_dag(32, 0.15, {1.0, 5.0}, rng);
+  const auto mapping = sched::list_schedule(dag, 3, sched::PriorityPolicy::kCriticalPath);
+  const auto speeds = SpeedModel::continuous(0.2, 1.0);
+  const model::ReliabilityModel rel(1e-5, 3.0, 0.2, 1.0, 0.8);
+  const double m_fmax = fmax_makespan(dag, mapping, 1.0);
+  const std::vector<bool> single(32, false);
+  for (double stretch : {1.05, 1.12, 1.2}) {
+    const double D = stretch * m_fmax;  // the all-frel makespan is 1.25 m_fmax
+    auto tri = tricrit::continuous_with_modes(dag, mapping, D, rel, speeds, single);
+    auto bi = bicrit::solve_continuous(dag, mapping, D, SpeedModel::continuous(0.8, 1.0));
+    ASSERT_TRUE(tri.is_ok()) << stretch << ": " << tri.status().to_string();
+    ASSERT_TRUE(bi.is_ok()) << stretch << ": " << bi.status().to_string();
+    ASSERT_GT(bi.value().newton_steps, 0) << stretch;
+    EXPECT_NEAR(tri.value().energy, bi.value().energy, 1e-9 * bi.value().energy) << stretch;
+  }
 }
 
 TEST(CrossSolver, VddRoundingSandwich) {
