@@ -227,7 +227,7 @@ const Flag kFlags[] = {
      number<double>(&Args::rmin)},
     {"--rmax", "B", kSweepVerbs, "reliability sweep to B", number<double>(&Args::rmax)},
     {"--points", "N", kSweepVerbs, "initial sweep grid (default 9)",
-     number<int>(&Args::points)},
+     number<int>(&Args::points, [](int n) { return n >= 1; }, "an integer >= 1")},
     {"--max-points", "M", kSweepVerbs, "sweep budget (default 33)",
      number<int>(&Args::max_points)},
     {"--solvers", "n1,n2,...", kFrontier, "compare these solvers", names(&Args::solvers)},
@@ -360,6 +360,9 @@ struct SweepPlan {
 };
 
 common::Result<SweepPlan> plan_sweep(const Args& args) {
+  if (args.max_points < args.points) {
+    return common::Status::invalid("a sweep needs --points <= --max-points");
+  }
   if (args.rmin && args.rmax) {
     if (args.deadline <= 0.0) {
       return common::Status::invalid("--rmin/--rmax sweeps need a fixed --deadline");

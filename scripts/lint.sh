@@ -27,6 +27,8 @@
 #    WorkerPool's workers (common/parallel.cpp), the engine's
 #    DeadlineWatch thread and the serve loop thread — fan-outs go through
 #    common::WorkerPool.
+#  * one speed program: opt::minimize_barrier is called only from
+#    bicrit::solve_durations (bicrit/continuous_dag.cpp).
 
 set -euo pipefail
 
@@ -105,6 +107,11 @@ report "no std::thread/std::async outside common/parallel.cpp, DeadlineWatch and
      | grep -vE '^src/engine/engine\.cpp:[0-9]+: +thread_ = std::thread\(\[this\] \{ loop\(\); \}\);$' \
      | grep -vE '^src/serve/server\.cpp:[0-9]+: +impl->thread = std::thread\(\[impl\] \{' \
      || true)"
+
+# One continuous speed program: every barrier solve goes through
+# bicrit::solve_durations.
+report "no opt::minimize_barrier( in src/ outside src/bicrit/continuous_dag.cpp" \
+  "$(grep -rn 'opt::minimize_barrier(' src/ | grep -v '^src/bicrit/continuous_dag\.cpp:' || true)"
 
 if (( violations )); then
   echo "lint.sh: grep-lint FAILED"

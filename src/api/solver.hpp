@@ -173,7 +173,7 @@ struct SolveReport {
   long long iterations = 0;   ///< Newton steps / simplex or B&B nodes / subsets
   int re_executed = 0;        ///< TRI-CRIT: tasks executed twice
   bool exact = false;         ///< result certified optimal by the solver
-  double gap_bound = 0.0;     ///< certified optimality gap/ratio bound (0 = none)
+  double gap_bound = 0.0;     ///< solver-reported gap/ratio bound (0 = none), unchecked
 };
 
 /// One algorithm of the family. Implementations override `do_run` (and

@@ -1,14 +1,12 @@
 #include "bicrit/continuous_dag.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
+#include <string>
 
 #include "graph/analysis.hpp"
 
 namespace easched::bicrit {
-
-namespace {
 
 using graph::Dag;
 using graph::TaskId;
@@ -16,26 +14,92 @@ using opt::LinearConstraint;
 using sched::Schedule;
 using sched::TaskDecision;
 
-std::vector<double> durations_at_speed(const Dag& dag, double f) {
-  std::vector<double> d(static_cast<std::size_t>(dag.num_tasks()));
-  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
-    d[static_cast<std::size_t>(t)] = dag.weight(t) / f;
-  }
-  return d;
-}
+common::Result<DurationSolution> solve_durations(const Dag& aug, const DurationProgram& program,
+                                                 double deadline,
+                                                 const std::vector<double>& hint,
+                                                 const ColdStart& cold_start,
+                                                 const opt::BarrierOptions& barrier) {
+  const int n = aug.num_tasks();
+  const auto un = static_cast<std::size_t>(n);
+  EASCHED_CHECK(program.coef.size() == un && program.lb.size() == un &&
+                program.ub.size() == un);
 
-ContinuousSolution uniform_solution(const Dag& dag, double f, double deadline) {
-  ContinuousSolution sol{Schedule(dag.num_tasks()), 0.0, {}, {}, 0.0, 0};
-  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
-    sol.schedule.at(t) = TaskDecision::single(f);
-    sol.energy += model::execution_energy(dag.weight(t), f);
+  // ---- Boundary cases, by longest paths over the bounds. ------------------
+  auto lower = graph::time_analysis(aug, program.lb, 0.0);
+  if (lower.makespan > deadline * (1.0 + 1e-9)) {
+    return common::Status::infeasible("even all-fmax misses the deadline (makespan " +
+                                      std::to_string(lower.makespan) + " > " +
+                                      std::to_string(deadline) + ")");
   }
-  sol.durations = durations_at_speed(dag, f);
-  (void)deadline;
-  return sol;
-}
+  auto upper = graph::time_analysis(aug, program.ub, 0.0);
+  if (upper.makespan <= deadline) {
+    // Every task at its longest duration fits, hence is optimal.
+    return DurationSolution{DurationRegime::kAllUpper, program.ub, std::move(upper.asap)};
+  }
+  if (lower.makespan > deadline * (1.0 - 1e-9)) {
+    // The feasible set has (numerically) empty interior: all-lb ASAP.
+    return DurationSolution{DurationRegime::kAllLower, program.lb, std::move(lower.asap)};
+  }
 
-}  // namespace
+  // ---- The convex program over x = [s_0..s_{n-1}, d_0..d_{n-1}]. ----------
+  opt::InversePowerObjective objective;
+  for (TaskId t = 0; t < n; ++t) objective.add_term(n + t, program.coef[static_cast<std::size_t>(t)]);
+  std::vector<LinearConstraint> cons;
+  cons.reserve(static_cast<std::size_t>(aug.num_edges() + 4 * n));
+  for (TaskId u = 0; u < n; ++u) {
+    for (TaskId v : aug.successors(u)) {
+      // s_u + d_u - s_v <= 0
+      cons.push_back(LinearConstraint{{{u, 1.0}, {n + u, 1.0}, {v, -1.0}}, 0.0});
+    }
+  }
+  for (TaskId t = 0; t < n; ++t) {
+    const auto i = static_cast<std::size_t>(t);
+    cons.push_back(LinearConstraint{{{t, 1.0}, {n + t, 1.0}}, deadline});  // s+d <= D
+    cons.push_back(LinearConstraint{{{t, -1.0}}, 0.0});                    // s >= 0
+    cons.push_back(LinearConstraint{{{n + t, 1.0}}, program.ub[i]});       // d <= ub
+    cons.push_back(LinearConstraint{{{n + t, -1.0}}, -program.lb[i]});     // d >= lb
+  }
+
+  // ---- Strictly feasible start: the hint (clamped strictly inside the
+  //      bounds) when it keeps slack, else the caller's cold start. Slack
+  //      is spread by depth either way. ----------------------------------
+  std::vector<double> d0;
+  std::optional<graph::TimeAnalysis> warm_ta;
+  if (hint.size() == un) {
+    d0.resize(un);
+    for (std::size_t i = 0; i < un; ++i) {
+      // Converged warm starts often sit exactly on a bound, where the
+      // barrier is undefined.
+      d0[i] = std::clamp(hint[i], program.lb[i] * (1.0 + 1e-9), program.ub[i] * (1.0 - 1e-9));
+    }
+    warm_ta = graph::time_analysis(aug, d0, deadline);
+    if (warm_ta->makespan >= deadline) {
+      d0.clear();  // hint lost its slack under the new deadline: cold start
+      warm_ta.reset();
+    }
+  }
+  if (d0.empty()) d0 = cold_start(lower.makespan);
+  const auto ta = warm_ta ? std::move(*warm_ta) : graph::time_analysis(aug, d0, deadline);
+  const auto depth = graph::depth_levels(aug);
+  const int max_depth = *std::max_element(depth.begin(), depth.end());
+  const double slack = deadline - ta.makespan;
+  EASCHED_CHECK_MSG(slack > 0.0, "internal: start point has no slack");
+  opt::Vector x0(2 * un);
+  for (std::size_t i = 0; i < un; ++i) {
+    const double frac = static_cast<double>(depth[i] + 1) / static_cast<double>(max_depth + 2);
+    x0[i] = ta.asap[i] + slack * frac;
+    x0[un + i] = d0[i];
+  }
+
+  auto res = opt::minimize_barrier(objective, cons, x0, barrier);
+  if (!res.status.is_ok() && res.x.empty()) return res.status;
+  return DurationSolution{DurationRegime::kBarrier,
+                          std::vector<double>(res.x.begin() + n, res.x.end()),
+                          std::vector<double>(res.x.begin(), res.x.begin() + n),
+                          res.gap_bound,
+                          res.newton_steps,
+                          std::move(res.status)};
+}
 
 common::Result<ContinuousSolution> solve_continuous(const Dag& dag,
                                                     const sched::Mapping& mapping,
@@ -58,113 +122,38 @@ common::Result<ContinuousSolution> solve_continuous(const Dag& dag,
   const Dag aug = mapping.augmented_graph(dag);
   const double fmin = speeds.fmin();
   const double fmax = speeds.fmax();
-
-  // Unit-speed makespan: makespan at speed f is M1/f.
-  std::vector<double> unit(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) unit[static_cast<std::size_t>(t)] = dag.weight(t);
-  const double m1 = graph::time_analysis(aug, unit, 0.0).makespan;
-  const double makespan_fmax = m1 / fmax;
-  const double makespan_fmin = m1 / fmin;
-
-  if (makespan_fmax > deadline * (1.0 + 1e-9)) {
-    return common::Status::infeasible("even all-fmax misses the deadline (makespan " +
-                                      std::to_string(makespan_fmax) + " > " +
-                                      std::to_string(deadline) + ")");
-  }
-  if (makespan_fmin <= deadline) {
-    // Slowest admissible speed everywhere is feasible, hence optimal.
-    auto sol = uniform_solution(dag, fmin, deadline);
-    sol.start_times = graph::time_analysis(aug, sol.durations, deadline).asap;
-    return sol;
-  }
-  if (makespan_fmax > deadline * (1.0 - 1e-9)) {
-    // The feasible set has (numerically) empty interior: all-fmax ASAP.
-    auto sol = uniform_solution(dag, fmax, deadline);
-    sol.start_times = graph::time_analysis(aug, sol.durations, deadline).asap;
-    return sol;
-  }
-
-  // ---- Build the convex program: x = [s_0..s_{n-1}, d_0..d_{n-1}] ---------
-  opt::InversePowerObjective objective;
+  DurationProgram program;
   for (TaskId t = 0; t < n; ++t) {
     const double w = dag.weight(t);
-    objective.add_term(n + t, w * w * w);
+    program.coef.push_back(w * w * w);
+    program.lb.push_back(w / fmax);
+    program.ub.push_back(w / fmin);
   }
-  std::vector<LinearConstraint> cons;
-  cons.reserve(static_cast<std::size_t>(aug.num_edges() + 4 * n));
-  for (TaskId u = 0; u < n; ++u) {
-    for (TaskId v : aug.successors(u)) {
-      // s_u + d_u - s_v <= 0
-      cons.push_back(LinearConstraint{{{u, 1.0}, {n + u, 1.0}, {v, -1.0}}, 0.0});
-    }
-  }
+  // Cold start: one uniform speed halfway between the critical speed
+  // M1/D (M1 the unit-speed makespan) and fmax.
+  const ColdStart uniform_speed = [&](double) {
+    std::vector<double> d(static_cast<std::size_t>(n));
+    for (TaskId t = 0; t < n; ++t) d[static_cast<std::size_t>(t)] = dag.weight(t);
+    const double f_start = 0.5 * (graph::time_analysis(aug, d, 0.0).makespan / deadline + fmax);
+    for (double& x : d) x /= f_start;
+    return d;
+  };
+  auto res =
+      solve_durations(aug, program, deadline, options.start_durations, uniform_speed, options.barrier);
+  if (!res.is_ok()) return res.status();
+  DurationSolution& ds = res.value();
+  // A barrier that stopped early is surfaced, not answered.
+  if (!ds.barrier_status.is_ok()) return ds.barrier_status;
+
+  ContinuousSolution sol{Schedule(n), 0.0, std::move(ds.durations), std::move(ds.start_times),
+                         ds.gap_bound, ds.newton_steps};
   for (TaskId t = 0; t < n; ++t) {
     const double w = dag.weight(t);
-    cons.push_back(LinearConstraint{{{t, 1.0}, {n + t, 1.0}}, deadline});  // s+d <= D
-    cons.push_back(LinearConstraint{{{t, -1.0}}, 0.0});                    // s >= 0
-    cons.push_back(LinearConstraint{{{n + t, 1.0}}, w / fmin});            // d <= w/fmin
-    cons.push_back(LinearConstraint{{{n + t, -1.0}}, -w / fmax});          // d >= w/fmax
-  }
-
-  // ---- Strictly feasible start: a warm-start duration hint (clamped
-  //      strictly inside the speed bounds) when it keeps slack, else a
-  //      uniform speed strictly between the critical speed m1/D and fmax.
-  //      Slack is spread by depth either way. ----------------------------
-  std::vector<double> d0;
-  std::optional<graph::TimeAnalysis> warm_ta;
-  if (options.start_durations.size() == static_cast<std::size_t>(n)) {
-    d0.resize(static_cast<std::size_t>(n));
-    for (TaskId t = 0; t < n; ++t) {
-      const double w = dag.weight(t);
-      // Pull the hint strictly inside (w/fmax, w/fmin): converged warm
-      // starts often sit exactly on a bound, where the barrier is
-      // undefined.
-      const double lo_d = (w / fmax) * (1.0 + 1e-9);
-      const double hi_d = (w / fmin) * (1.0 - 1e-9);
-      d0[static_cast<std::size_t>(t)] =
-          std::clamp(options.start_durations[static_cast<std::size_t>(t)], lo_d, hi_d);
-    }
-    warm_ta = graph::time_analysis(aug, d0, deadline);
-    if (warm_ta->makespan >= deadline) {
-      d0.clear();  // hint lost its slack under the new deadline: cold start
-      warm_ta.reset();
-    }
-  }
-  if (d0.empty()) {
-    const double f_crit = m1 / deadline;  // in (fmin, fmax) here
-    const double f_start = 0.5 * (f_crit + fmax);
-    d0 = durations_at_speed(dag, f_start);
-  }
-  const auto ta = warm_ta ? std::move(*warm_ta) : graph::time_analysis(aug, d0, deadline);
-  const auto depth = graph::depth_levels(aug);
-  const int max_depth = *std::max_element(depth.begin(), depth.end());
-  const double slack = deadline - ta.makespan;  // > 0 by construction
-  EASCHED_CHECK_MSG(slack > 0.0, "internal: start point has no slack");
-  opt::Vector x0(static_cast<std::size_t>(2 * n));
-  for (TaskId t = 0; t < n; ++t) {
-    const double frac = static_cast<double>(depth[static_cast<std::size_t>(t)] + 1) /
-                        static_cast<double>(max_depth + 2);
-    x0[static_cast<std::size_t>(t)] = ta.asap[static_cast<std::size_t>(t)] + slack * frac;
-    x0[static_cast<std::size_t>(n + t)] = d0[static_cast<std::size_t>(t)];
-  }
-
-  auto res = opt::minimize_barrier(objective, cons, x0, options.barrier);
-  if (!res.status.is_ok() && res.x.empty()) return res.status;
-
-  ContinuousSolution sol{Schedule(n), 0.0, {}, {}, res.gap_bound, res.newton_steps};
-  sol.durations.resize(static_cast<std::size_t>(n));
-  sol.start_times.resize(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) {
-    sol.start_times[static_cast<std::size_t>(t)] = res.x[static_cast<std::size_t>(t)];
-    const double d = res.x[static_cast<std::size_t>(n + t)];
-    sol.durations[static_cast<std::size_t>(t)] = d;
-    const double f = std::clamp(dag.weight(t) / d, fmin, fmax);
+    const double f = ds.regime == DurationRegime::kAllUpper   ? fmin
+                     : ds.regime == DurationRegime::kAllLower ? fmax
+                     : std::clamp(w / sol.durations[static_cast<std::size_t>(t)], fmin, fmax);
     sol.schedule.at(t) = TaskDecision::single(f);
-    sol.energy += model::execution_energy(dag.weight(t), f);
-  }
-  if (!res.status.is_ok()) {
-    // Converged poorly but produced an iterate: surface the status.
-    return res.status;
+    sol.energy += model::execution_energy(w, f);
   }
   return sol;
 }

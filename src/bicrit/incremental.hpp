@@ -7,9 +7,10 @@
 //
 // The scheme implemented here mirrors that guarantee:
 //  1. solve the CONTINUOUS relaxation on [fmin, fmax] to relative accuracy
-//     1/K (the barrier method's certified gap gives the (1+1/K) factor on
+//     1/K (the barrier's m/t gap bound gives the (1+1/K) factor on
 //     top of the true continuous optimum, which lower-bounds the
-//     INCREMENTAL optimum);
+//     INCREMENTAL optimum; the bound holds on the exact central path and
+//     is not yet checked against a dual point);
 //  2. round every speed UP to the next admissible incremental level
 //     f = fmin + i*delta. Durations shrink, so feasibility is preserved,
 //     and per-task energy grows by at most ((f + delta)/f)^2

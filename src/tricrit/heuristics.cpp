@@ -1,13 +1,9 @@
 #include "tricrit/heuristics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <numeric>
 
+#include "bicrit/continuous_dag.hpp"
 #include "graph/analysis.hpp"
-#include "opt/barrier.hpp"
-#include "opt/scalar.hpp"
 
 namespace easched::tricrit {
 
@@ -16,57 +12,54 @@ namespace {
 using graph::Dag;
 using graph::TaskId;
 
-struct ModeBounds {
-  double eff_weight = 0.0;  ///< w (single) or 2w (double)
-  double lb = 0.0;          ///< min total duration: eff_weight / fmax
-  double ub = 0.0;          ///< max total duration: eff_weight / floor speed
-  double floor_speed = 0.0;
+/// The continuous program of a fixed mode set: a re-executed task is one
+/// of effective weight 2w with speed floor f_inf, a single one has weight
+/// w and floor frel (both floors at least fmin).
+struct ModeProgram {
+  bicrit::DurationProgram program;  ///< c = eff^3 on [eff/fmax, eff/floor]
+  std::vector<double> floor_speed;
 };
 
-common::Result<std::vector<ModeBounds>> mode_bounds(const Dag& dag,
-                                                    const model::ReliabilityModel& rel,
-                                                    const model::SpeedModel& speeds,
-                                                    const std::vector<bool>& re_exec) {
-  const int n = dag.num_tasks();
-  std::vector<ModeBounds> out(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) {
+common::Result<ModeProgram> mode_program(const Dag& dag, const model::ReliabilityModel& rel,
+                                         const model::SpeedModel& speeds,
+                                         const std::vector<bool>& re_exec) {
+  ModeProgram out;
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
     const double w = dag.weight(t);
-    auto& mb = out[static_cast<std::size_t>(t)];
+    double floor_speed = std::max(rel.frel(), speeds.fmin());
+    double eff = w;
     if (re_exec[static_cast<std::size_t>(t)]) {
       auto finf = rel.f_inf(w);
       if (!finf.is_ok()) return finf.status();
-      mb.floor_speed = std::max(finf.value(), speeds.fmin());
-      mb.eff_weight = 2.0 * w;
-    } else {
-      mb.floor_speed = std::max(rel.frel(), speeds.fmin());
-      mb.eff_weight = w;
+      floor_speed = std::max(finf.value(), speeds.fmin());
+      eff = 2.0 * w;
     }
-    mb.lb = mb.eff_weight / speeds.fmax();
-    mb.ub = mb.eff_weight / mb.floor_speed;
+    const double lb = eff / speeds.fmax();
+    double ub = eff / floor_speed;
     // Keep a sliver of interior even when frel == fmax pins the speed.
-    if (mb.ub <= mb.lb * (1.0 + 1e-9)) mb.ub = mb.lb * (1.0 + 1e-7);
+    if (ub <= lb * (1.0 + 1e-9)) ub = lb * (1.0 + 1e-7);
+    out.program.coef.push_back(eff * eff * eff);
+    out.program.lb.push_back(lb);
+    out.program.ub.push_back(ub);
+    out.floor_speed.push_back(floor_speed);
   }
   return out;
 }
 
 TriCritSolution solution_from_durations(const Dag& dag, const model::SpeedModel& speeds,
-                                        const std::vector<ModeBounds>& bounds,
+                                        const ModeProgram& modes,
                                         const std::vector<bool>& re_exec,
                                         const std::vector<double>& durations) {
   TriCritSolution sol(dag.num_tasks());
   for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+    const auto i = static_cast<std::size_t>(t);
     const double w = dag.weight(t);
-    const auto& mb = bounds[static_cast<std::size_t>(t)];
-    const double d = durations[static_cast<std::size_t>(t)];
-    const double speed = std::clamp(mb.eff_weight / d, mb.floor_speed, speeds.fmax());
-    if (re_exec[static_cast<std::size_t>(t)]) {
-      apply_choice(sol, t,
-                   ExecChoice{true, speed, 2.0 * model::execution_energy(w, speed),
-                              2.0 * w / speed});
-    } else {
-      apply_choice(sol, t,
-                   ExecChoice{false, speed, model::execution_energy(w, speed), w / speed});
-    }
+    const double runs = re_exec[i] ? 2.0 : 1.0;
+    const double speed =
+        std::clamp(runs * w / durations[i], modes.floor_speed[i], speeds.fmax());
+    apply_choice(sol, t,
+                 ExecChoice{re_exec[i], speed, runs * model::execution_energy(w, speed),
+                            runs * w / speed});
   }
   return sol;
 }
@@ -90,99 +83,44 @@ common::Result<TriCritSolution> continuous_with_modes(const Dag& dag,
       return common::Status::unsupported("continuous_with_modes requires positive weights");
     }
   }
-  auto bounds_res = mode_bounds(dag, rel, speeds, re_exec);
-  if (!bounds_res.is_ok()) return bounds_res.status();
-  const auto& bounds = bounds_res.value();
+  auto modes_res = mode_program(dag, rel, speeds, re_exec);
+  if (!modes_res.is_ok()) return modes_res.status();
+  const ModeProgram& modes = modes_res.value();
+  const auto& lb = modes.program.lb;
+  const auto& ub = modes.program.ub;
 
   const Dag aug = mapping.augmented_graph(dag);
-  // Feasibility: everything as fast as allowed.
-  std::vector<double> d_lb(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) d_lb[static_cast<std::size_t>(t)] = bounds[static_cast<std::size_t>(t)].lb;
-  const double m_lb = graph::time_analysis(aug, d_lb, 0.0).makespan;
-  if (m_lb > deadline * (1.0 + 1e-9)) {
-    return common::Status::infeasible("mode set misses the deadline even at fmax");
-  }
-  // If everything can run at its slowest, that is optimal for this mode set.
-  std::vector<double> d_ub(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) d_ub[static_cast<std::size_t>(t)] = bounds[static_cast<std::size_t>(t)].ub;
-  if (graph::time_analysis(aug, d_ub, 0.0).makespan <= deadline) {
-    return solution_from_durations(dag, speeds, bounds, re_exec, d_ub);
-  }
-  if (m_lb > deadline * (1.0 - 1e-9)) {
-    // Numerically empty interior: only the all-fast point fits.
-    return solution_from_durations(dag, speeds, bounds, re_exec, d_lb);
-  }
-
-  // ---- Convex program over x = [s, d]. -------------------------------------
-  opt::InversePowerObjective objective;
-  for (TaskId t = 0; t < n; ++t) {
-    const double ew = bounds[static_cast<std::size_t>(t)].eff_weight;
-    objective.add_term(n + t, ew * ew * ew);
-  }
-  std::vector<opt::LinearConstraint> cons;
-  cons.reserve(static_cast<std::size_t>(aug.num_edges() + 4 * n));
-  for (TaskId u = 0; u < n; ++u) {
-    for (TaskId v : aug.successors(u)) {
-      cons.push_back(opt::LinearConstraint{{{u, 1.0}, {n + u, 1.0}, {v, -1.0}}, 0.0});
-    }
-  }
-  for (TaskId t = 0; t < n; ++t) {
-    const auto& mb = bounds[static_cast<std::size_t>(t)];
-    cons.push_back(opt::LinearConstraint{{{t, 1.0}, {n + t, 1.0}}, deadline});
-    cons.push_back(opt::LinearConstraint{{{t, -1.0}}, 0.0});
-    cons.push_back(opt::LinearConstraint{{{n + t, 1.0}}, mb.ub});
-    cons.push_back(opt::LinearConstraint{{{n + t, -1.0}}, -mb.lb});
-  }
-
-  // ---- Strictly feasible start: interpolate between lb and ub durations. ---
-  const double target = m_lb + 0.5 * (deadline - m_lb);
-  auto makespan_at = [&](double theta) {
-    std::vector<double> d(static_cast<std::size_t>(n));
-    for (TaskId t = 0; t < n; ++t) {
-      const auto& mb = bounds[static_cast<std::size_t>(t)];
-      d[static_cast<std::size_t>(t)] = mb.lb + theta * (mb.ub - mb.lb);
-    }
-    return graph::time_analysis(aug, d, 0.0).makespan;
-  };
-  double theta_lo = 1e-9, theta_hi = 1.0 - 1e-9;
-  if (makespan_at(theta_hi) > target) {
-    for (int it = 0; it < 100; ++it) {
-      const double mid = 0.5 * (theta_lo + theta_hi);
-      if (makespan_at(mid) <= target) {
-        theta_lo = mid;
-      } else {
-        theta_hi = mid;
+  // Cold start: durations lb + theta (ub - lb), theta bisected so the
+  // makespan sits halfway between the all-lb makespan and the deadline.
+  const bicrit::ColdStart interpolate = [&](double m_lb) {
+    const double target = m_lb + 0.5 * (deadline - m_lb);
+    auto durations_at = [&](double theta) {
+      std::vector<double> d(lb.size());
+      for (std::size_t i = 0; i < d.size(); ++i) d[i] = lb[i] + theta * (ub[i] - lb[i]);
+      return d;
+    };
+    auto makespan_at = [&](double theta) {
+      return graph::time_analysis(aug, durations_at(theta), 0.0).makespan;
+    };
+    double theta_lo = 1e-9, theta_hi = 1.0 - 1e-9;
+    if (makespan_at(theta_hi) > target) {
+      for (int it = 0; it < 100; ++it) {
+        const double mid = 0.5 * (theta_lo + theta_hi);
+        if (makespan_at(mid) <= target) {
+          theta_lo = mid;
+        } else {
+          theta_hi = mid;
+        }
       }
+    } else {
+      theta_lo = theta_hi;
     }
-  } else {
-    theta_lo = theta_hi;
-  }
-  const double theta = theta_lo;
-  std::vector<double> d0(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) {
-    const auto& mb = bounds[static_cast<std::size_t>(t)];
-    d0[static_cast<std::size_t>(t)] = mb.lb + theta * (mb.ub - mb.lb);
-  }
-  const auto ta = graph::time_analysis(aug, d0, deadline);
-  const auto depth = graph::depth_levels(aug);
-  const int max_depth = *std::max_element(depth.begin(), depth.end());
-  const double slack = deadline - ta.makespan;
-  EASCHED_CHECK_MSG(slack > 0.0, "internal: no slack at the barrier start point");
-  opt::Vector x0(static_cast<std::size_t>(2 * n));
-  for (TaskId t = 0; t < n; ++t) {
-    const double frac = static_cast<double>(depth[static_cast<std::size_t>(t)] + 1) /
-                        static_cast<double>(max_depth + 2);
-    x0[static_cast<std::size_t>(t)] = ta.asap[static_cast<std::size_t>(t)] + slack * frac;
-    x0[static_cast<std::size_t>(n + t)] = d0[static_cast<std::size_t>(t)];
-  }
-
-  auto res = opt::minimize_barrier(objective, cons, x0, {});
-  if (!res.status.is_ok() && res.x.empty()) return res.status;
-  std::vector<double> durations(static_cast<std::size_t>(n));
-  for (TaskId t = 0; t < n; ++t) {
-    durations[static_cast<std::size_t>(t)] = res.x[static_cast<std::size_t>(n + t)];
-  }
-  return solution_from_durations(dag, speeds, bounds, re_exec, durations);
+    return durations_at(theta_lo);
+  };
+  // The polish keeps an iterate even when the barrier stopped early.
+  auto res = bicrit::solve_durations(aug, modes.program, deadline, {}, interpolate, {});
+  if (!res.is_ok()) return res.status();
+  return solution_from_durations(dag, speeds, modes, re_exec, res.value().durations);
 }
 
 common::Result<TriCritSolution> heuristic_uniform_reexec(const Dag& dag,

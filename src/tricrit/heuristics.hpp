@@ -22,11 +22,12 @@
 //  * heuristic_best_of: min-energy of the two (the paper's recommended
 //    combination).
 //
-// Both heuristics optionally finish with a *polish* step: one continuous
-// re-solve (interior point) with the chosen re-execution set fixed, which
-// redistributes time globally — re-executed tasks behave like tasks of
-// effective weight 2w with energy coefficient (2w)^3 and a per-task speed
-// floor f_inf instead of frel.
+// Both heuristics optionally finish with a *polish* step: one solve of the
+// continuous speed program (bicrit::solve_durations) with the chosen
+// re-execution set fixed, which redistributes time globally. It is
+// BI-CRIT's program with other per-task bounds: a re-executed task has
+// energy coefficient (2w)^3 and durations in [2w/fmax, 2w/max(f_inf, fmin)],
+// a single one w^3 and [w/fmax, w/max(frel, fmin)].
 
 #include <vector>
 
@@ -43,10 +44,10 @@ struct HeuristicOptions {
   bool polish = true;  ///< run the fixed-mode continuous re-solve at the end
 };
 
-/// Optimal continuous speeds for a *fixed* re-execution set: barrier
-/// interior-point on the convex program with effective weights. This is
-/// the inner optimiser the NP-hardness leaves tractable once the subset is
-/// chosen. kInfeasible when the set cannot meet the deadline.
+/// Optimal continuous speeds for a *fixed* re-execution set: the
+/// continuous speed program with the bounds above. This is the inner
+/// optimiser the NP-hardness leaves tractable once the subset is chosen.
+/// kInfeasible when the set cannot meet the deadline.
 common::Result<TriCritSolution> continuous_with_modes(const graph::Dag& dag,
                                                       const sched::Mapping& mapping,
                                                       double deadline,

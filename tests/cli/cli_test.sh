@@ -74,6 +74,9 @@ rejects "$a" --deadline abc
 rejects "$a" --deadline 30 --levels 0.5,x
 rejects simulate --streams x
 rejects "$a" --deadline 30 --threads 99999999999
+rejects frontier "$a" --dmin 8 --dmax 30 --points 0
+rejects frontier "$a" --dmin 8 --dmax 30 --points 40 --max-points 33
+rejects remote 127.0.0.1:1 sweep "$a" --dmin 8 --dmax 30 --points 40
 
 # Flags the verb does not read. Port 1 refuses connections, so exit 2
 # shows the remote sweep was rejected before the CLI connected.
