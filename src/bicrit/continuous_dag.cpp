@@ -43,7 +43,9 @@ common::Result<DurationSolution> solve_durations(const Dag& aug, const DurationP
 
   // ---- The convex program over x = [s_0..s_{n-1}, d_0..d_{n-1}]. ----------
   opt::InversePowerObjective objective;
-  for (TaskId t = 0; t < n; ++t) objective.add_term(n + t, program.coef[static_cast<std::size_t>(t)]);
+  for (TaskId t = 0; t < n; ++t) {
+    objective.add_term(n + t, program.coef[static_cast<std::size_t>(t)]);
+  }
   std::vector<LinearConstraint> cons;
   cons.reserve(static_cast<std::size_t>(aug.num_edges() + 4 * n));
   for (TaskId u = 0; u < n; ++u) {
@@ -138,8 +140,8 @@ common::Result<ContinuousSolution> solve_continuous(const Dag& dag,
     for (double& x : d) x /= f_start;
     return d;
   };
-  auto res =
-      solve_durations(aug, program, deadline, options.start_durations, uniform_speed, options.barrier);
+  auto res = solve_durations(aug, program, deadline, options.start_durations, uniform_speed,
+                             options.barrier);
   if (!res.is_ok()) return res.status();
   DurationSolution& ds = res.value();
   // A barrier that stopped early is surfaced, not answered.
