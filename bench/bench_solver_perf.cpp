@@ -49,10 +49,22 @@ void BM_ContinuousIpm(benchmark::State& state) {
   const auto mapping = sched::list_schedule(dag, 4, sched::PriorityPolicy::kCriticalPath);
   const auto speeds = model::SpeedModel::continuous(0.1, 1.0);
   const double D = fmax_makespan(dag, mapping, 1.0) * 1.5;
+  int newton_steps = 0;
   for (auto _ : state) {
     auto sol = bicrit::solve_continuous(dag, mapping, D, speeds);
+    newton_steps = sol.is_ok() ? sol.value().newton_steps : -1;
     benchmark::DoNotOptimize(sol);
   }
+  // The barrier's rows, as bicrit::solve_durations emits them: one per
+  // edge of the reduced augmented graph, s + d <= D per sink, s >= 0 per
+  // source and two duration bounds per task.
+  const graph::Dag aug = mapping.augmented_graph(dag);
+  int rows = graph::transitive_reduction(aug).value().num_edges() + 2 * n;
+  for (graph::TaskId t = 0; t < n; ++t) {
+    rows += (aug.out_degree(t) == 0 ? 1 : 0) + (aug.in_degree(t) == 0 ? 1 : 0);
+  }
+  state.counters["rows"] = rows;
+  state.counters["newton_steps"] = newton_steps;
 }
 BENCHMARK(BM_ContinuousIpm)
     ->Arg(10)
@@ -60,6 +72,8 @@ BENCHMARK(BM_ContinuousIpm)
     ->Arg(40)
     ->Arg(64)
     ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 void BM_VddLpSimplex(benchmark::State& state) {

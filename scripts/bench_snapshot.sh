@@ -7,7 +7,10 @@
 # curve, restart-with-store replay, engine batch throughput and its
 # metrics-on/off overhead, the solver-family accuracy/speed headlines, the
 # online-policy competitive ratios vs the offline oracle, and the
-# reliability simulator's model-vs-Monte-Carlo headlines. The serving
+# reliability simulator's model-vs-Monte-Carlo headlines, and the
+# continuous-ipm solve time per task count (bench_solver_perf's
+# BM_ContinuousIpm, with its barrier row and Newton step counts; left out
+# when google-benchmark is not installed). The serving
 # tier is measured through the real daemon by perfbench/, not here.
 # Future PRs diff their own snapshot against the committed numbers
 # instead of eyeballing one noisy run.
@@ -45,6 +48,12 @@ if grep -qE '(^CMAKE_(CXX|EXE_LINKER)_FLAGS[^=]*=.*-fsanitize|^EASCHED_TSAN:BOOL
   exit 1
 fi
 cmake --build "$build_dir" -j "$(nproc)" --target "${benches[@]}" > /dev/null
+ipm_runs=0
+if cmake --build "$build_dir" -j "$(nproc)" --target bench_solver_perf > /dev/null 2>&1; then
+  ipm_runs="$runs"
+else
+  echo "bench_snapshot: bench_solver_perf not built (no google-benchmark) — continuous_ipm SKIPPED"
+fi
 
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
@@ -57,10 +66,18 @@ for bench in "${benches[@]}"; do
   done
 done
 
-python3 - "$tmp_dir" "$runs" "$repo_root/BENCH_frontier.json" <<'PY'
+for ((i = 0; i < ipm_runs; ++i)); do
+  "$build_dir/bench_solver_perf" --benchmark_filter='^BM_ContinuousIpm/' \
+    --benchmark_out="$tmp_dir/bench_solver_perf_$i.json" --benchmark_out_format=json \
+    > "$tmp_dir/bench_solver_perf_$i.log"
+  echo "bench_snapshot: bench_solver_perf run $((i + 1))/$ipm_runs ok"
+done
+
+python3 - "$tmp_dir" "$runs" "$repo_root/BENCH_frontier.json" "$ipm_runs" <<'PY'
 import json, statistics, sys
 
 tmp_dir, runs, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+ipm_runs = int(sys.argv[4])
 
 def load(bench):
     return [json.load(open(f"{tmp_dir}/{bench}_{i}.json")) for i in range(runs)]
@@ -156,6 +173,22 @@ snapshot = {
         "pass": all(s["pass"] for s in rel_sim),
     },
 }
+# continuous-ipm per task count (bench_solver_perf BM_ContinuousIpm/<n>):
+# median ms per solve; rows and Newton steps are exact counts.
+if ipm_runs:
+    ipm = [json.load(open(f"{tmp_dir}/bench_solver_perf_{i}.json"))["benchmarks"]
+           for i in range(ipm_runs)]
+    sizes = [b["name"].split("/")[1] for b in ipm[0]]
+    def ipm_field(size, field):
+        return [b[field] for run in ipm for b in run if b["name"].split("/")[1] == size]
+    snapshot["continuous_ipm"] = {
+        size: {
+            "ms": statistics.median(ipm_field(size, "real_time")),
+            "rows": ipm_field(size, "rows")[0],
+            "newton_steps": ipm_field(size, "newton_steps")[0],
+        }
+        for size in sizes
+    }
 with open(out_path, "w") as f:
     json.dump(snapshot, f, indent=2)
     f.write("\n")

@@ -173,7 +173,10 @@ struct SolveReport {
   long long iterations = 0;   ///< Newton steps / simplex or B&B nodes / subsets
   int re_executed = 0;        ///< TRI-CRIT: tasks executed twice
   bool exact = false;         ///< result certified optimal by the solver
-  double gap_bound = 0.0;     ///< solver-reported gap/ratio bound (0 = none), unchecked
+  /// Solver-reported gap/ratio bound (0 = none), unchecked. For
+  /// continuous-ipm it is the barrier's m/t, m counting the reduced rows
+  /// bicrit::solve_durations emits, t where the spelled program stops.
+  double gap_bound = 0.0;
 };
 
 /// One algorithm of the family. Implementations override `do_run` (and

@@ -23,6 +23,10 @@ common::Result<DurationSolution> solve_durations(const Dag& aug, const DurationP
   const auto un = static_cast<std::size_t>(n);
   EASCHED_CHECK(program.coef.size() == un && program.lb.size() == un &&
                 program.ub.size() == un);
+  // Its topological sort is the acyclicity check of the augmented graph.
+  auto reduced_res = graph::transitive_reduction(aug);
+  if (!reduced_res.is_ok()) return sched::Mapping::orders_contradict_precedence();
+  const Dag& reduced = reduced_res.value();
 
   // ---- Boundary cases, by longest paths over the bounds. ------------------
   auto lower = graph::time_analysis(aug, program.lb, 0.0);
@@ -41,26 +45,36 @@ common::Result<DurationSolution> solve_durations(const Dag& aug, const DurationP
     return DurationSolution{DurationRegime::kAllLower, program.lb, std::move(lower.asap)};
   }
 
-  // ---- The convex program over x = [s_0..s_{n-1}, d_0..d_{n-1}]. ----------
+  // ---- The convex program over x = [s_0..s_{n-1}, d_0..d_{n-1}], with
+  //      only the rows the others do not imply (see the header). ---------
   opt::InversePowerObjective objective;
   for (TaskId t = 0; t < n; ++t) {
     objective.add_term(n + t, program.coef[static_cast<std::size_t>(t)]);
   }
   std::vector<LinearConstraint> cons;
-  cons.reserve(static_cast<std::size_t>(aug.num_edges() + 4 * n));
+  cons.reserve(static_cast<std::size_t>(reduced.num_edges() + 4 * n));
   for (TaskId u = 0; u < n; ++u) {
-    for (TaskId v : aug.successors(u)) {
+    for (TaskId v : reduced.successors(u)) {
       // s_u + d_u - s_v <= 0
       cons.push_back(LinearConstraint{{{u, 1.0}, {n + u, 1.0}, {v, -1.0}}, 0.0});
     }
   }
   for (TaskId t = 0; t < n; ++t) {
     const auto i = static_cast<std::size_t>(t);
-    cons.push_back(LinearConstraint{{{t, 1.0}, {n + t, 1.0}}, deadline});  // s+d <= D
-    cons.push_back(LinearConstraint{{{t, -1.0}}, 0.0});                    // s >= 0
-    cons.push_back(LinearConstraint{{{n + t, 1.0}}, program.ub[i]});       // d <= ub
-    cons.push_back(LinearConstraint{{{n + t, -1.0}}, -program.lb[i]});     // d >= lb
+    if (aug.out_degree(t) == 0) {
+      cons.push_back(LinearConstraint{{{t, 1.0}, {n + t, 1.0}}, deadline});  // s+d <= D
+    }
+    if (aug.in_degree(t) == 0) cons.push_back(LinearConstraint{{{t, -1.0}}, 0.0});  // s >= 0
+    cons.push_back(LinearConstraint{{{n + t, 1.0}}, program.ub[i]});                // d <= ub
+    cons.push_back(LinearConstraint{{{n + t, -1.0}}, -program.lb[i]});              // d >= lb
   }
+  // The barrier stops once m/t < gap_tolerance. Scaled by m over the
+  // spelled row count (one per aug edge, four per task), the tolerance
+  // stops at the t the spelled program stops at; m/t is then a tighter
+  // bound that still holds.
+  opt::BarrierOptions stop = barrier;
+  stop.gap_tolerance *=
+      static_cast<double>(cons.size()) / static_cast<double>(aug.num_edges() + 4 * n);
 
   // ---- Strictly feasible start: the hint (clamped strictly inside the
   //      bounds) when it keeps slack, else the caller's cold start. Slack
@@ -93,7 +107,7 @@ common::Result<DurationSolution> solve_durations(const Dag& aug, const DurationP
     x0[un + i] = d0[i];
   }
 
-  auto res = opt::minimize_barrier(objective, cons, x0, barrier);
+  auto res = opt::minimize_barrier(objective, cons, x0, stop);
   if (!res.status.is_ok() && res.x.empty()) return res.status;
   return DurationSolution{DurationRegime::kBarrier,
                           std::vector<double>(res.x.begin() + n, res.x.end()),
@@ -112,7 +126,8 @@ common::Result<ContinuousSolution> solve_continuous(const Dag& dag,
     return common::Status::unsupported("solve_continuous needs the CONTINUOUS model");
   }
   EASCHED_CHECK(deadline > 0.0);
-  if (auto st = mapping.validate(dag); !st.is_ok()) return st;
+  // solve_durations checks the augmented graph for cycles.
+  if (auto st = mapping.validate_assignment(dag); !st.is_ok()) return st;
   const int n = dag.num_tasks();
   if (n == 0) return common::Status::invalid("empty graph");
   for (TaskId t = 0; t < n; ++t) {

@@ -13,7 +13,18 @@
 //               lb_i <= d_i <= ub_i
 //
 // — a convex program with linear constraints (solve_durations), solved by
-// the log-barrier interior-point method in opt/barrier.hpp. Only the
+// the log-barrier interior-point method in opt/barrier.hpp. The barrier
+// gets only the rows the others do not imply:
+//   * s_u + d_u <= s_v for the edges of the transitive reduction of the
+//     augmented graph (graph::transitive_reduction);
+//   * s_i + d_i <= D for sinks only, s_i >= 0 for sources only;
+//   * both duration bounds for every task.
+// Every duration is at least lb_i > 0, so an edge u -> v that a longer
+// path u -> w -> ... -> v covers follows from that path's rows, a
+// non-sink's deadline row from a path to a sink, and a non-source's
+// s >= 0 from a path from a source. The feasible set, hence the optimum,
+// is the spelled program's. Only the
+
 // per-task coefficients and bounds differ between problems:
 //   * BI-CRIT (solve_continuous): c_i = w_i^3, [w_i/fmax, w_i/fmin];
 //   * the TRI-CRIT polish with a fixed re-execution set
@@ -56,9 +67,9 @@ struct ContinuousSolution {
   double energy = 0.0;
   std::vector<double> durations;    ///< optimal d_i
   std::vector<double> start_times;  ///< feasible start times s_i
-  /// The barrier's m/t bound on energy - optimum (0 for boundary cases).
-  /// It holds for the barrier's exact central path; nothing checks it
-  /// against a dual point yet.
+  /// The barrier's m/t bound on energy - optimum (0 for boundary cases),
+  /// m the rows solve_durations emits. It holds for the barrier's exact
+  /// central path; nothing checks it against a dual point yet.
   double gap_bound = 0.0;
   int newton_steps = 0;
 };
@@ -82,7 +93,10 @@ struct DurationSolution {
   DurationRegime regime = DurationRegime::kBarrier;
   std::vector<double> durations;
   std::vector<double> start_times;
-  double gap_bound = 0.0;  ///< the barrier's m/t bound (0 for boundary cases)
+  /// The barrier's m/t bound (0 for boundary cases). m counts the rows
+  /// emitted, the reduced program's; t is where the spelled program would
+  /// stop (see solve_durations), so the bound is below the spelled m/t.
+  double gap_bound = 0.0;
   int newton_steps = 0;
   /// Not ok when the barrier stopped early but left an iterate; the
   /// durations are then that iterate. Callers decide whether to keep it.
@@ -94,11 +108,17 @@ struct DurationSolution {
 /// all-lb makespan, which lies below the deadline.
 using ColdStart = std::function<std::vector<double>(double lower_makespan)>;
 
-/// Solves the continuous speed program over the augmented graph `aug`.
-/// A `hint` of one duration per task (a neighbouring solution) is pulled
-/// strictly inside (lb, ub) and used as the barrier start when it keeps
-/// deadline slack; otherwise `cold_start` supplies the durations. Either
-/// way start times spread the remaining slack by topological depth.
+/// Solves the continuous speed program over the augmented graph `aug`,
+/// whose transitive reduction it computes on every call (microseconds at
+/// 32 tasks). A `hint` of one duration per task (a neighbouring solution)
+/// is pulled strictly inside (lb, ub) and used as the barrier start when
+/// it keeps deadline slack; otherwise `cold_start` supplies the durations.
+/// Either way start times spread the remaining slack by topological depth.
+/// The barrier's gap tolerance is scaled by the emitted over the spelled
+/// row count (one per aug edge, four per task), so it stops at the same
+/// barrier weight t as the spelled program, and fails as not converged at
+/// the same t too. kInvalidArgument
+/// (sched::Mapping::orders_contradict_precedence) when `aug` has a cycle;
 /// kInfeasible when even all-lb misses the deadline.
 common::Result<DurationSolution> solve_durations(const graph::Dag& aug,
                                                  const DurationProgram& program,

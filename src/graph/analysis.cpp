@@ -1,6 +1,7 @@
 #include "graph/analysis.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace easched::graph {
 
@@ -109,6 +110,52 @@ std::vector<int> depth_levels(const Dag& dag) {
     }
   }
   return depth;
+}
+
+common::Result<Dag> transitive_reduction(const Dag& dag) {
+  auto order_res = topological_order(dag);
+  if (!order_res.is_ok()) return order_res.status();
+  const auto& order = order_res.value();
+  const auto un = static_cast<std::size_t>(dag.num_tasks());
+  std::vector<std::size_t> pos(un);
+  for (std::size_t i = 0; i < un; ++i) pos[static_cast<std::size_t>(order[i])] = i;
+
+  // reach[u]: the tasks reachable from u by a path of one or more edges,
+  // one bit per task, `words` 64-bit words a row.
+  const std::size_t words = (un + 63) / 64;
+  std::vector<std::uint64_t> reach(un * words, 0);
+  std::vector<std::vector<TaskId>> kept(un);  // reduced successors, in dag's order
+  std::vector<char> direct(un, 0);
+  std::vector<TaskId> by_position;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const auto u = static_cast<std::size_t>(*it);
+    const auto& succ = dag.successors(*it);
+    by_position.assign(succ.begin(), succ.end());
+    std::sort(by_position.begin(), by_position.end(), [&](TaskId a, TaskId b) {
+      return pos[static_cast<std::size_t>(a)] < pos[static_cast<std::size_t>(b)];
+    });
+    std::uint64_t* row = reach.data() + u * words;
+    for (TaskId v : by_position) {
+      const auto vu = static_cast<std::size_t>(v);
+      const std::uint64_t bit = std::uint64_t{1} << (vu % 64);
+      if (row[vu / 64] & bit) continue;  // an earlier successor reaches v
+      direct[vu] = 1;
+      row[vu / 64] |= bit;
+      const std::uint64_t* from = reach.data() + vu * words;
+      for (std::size_t w = 0; w < words; ++w) row[w] |= from[w];
+    }
+    for (TaskId v : succ) {
+      if (direct[static_cast<std::size_t>(v)]) kept[u].push_back(v);
+      direct[static_cast<std::size_t>(v)] = 0;
+    }
+  }
+
+  Dag out;
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) out.add_task(dag.weight(t), dag.name(t));
+  for (TaskId u = 0; u < dag.num_tasks(); ++u) {
+    for (TaskId v : kept[static_cast<std::size_t>(u)]) out.add_edge(u, v);
+  }
+  return out;
 }
 
 bool is_chain(const Dag& dag) {

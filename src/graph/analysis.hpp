@@ -38,6 +38,15 @@ std::vector<TaskId> critical_path(const Dag& dag, const std::vector<double>& dur
 /// Topological depth of each task (longest edge-count distance from a source).
 std::vector<int> depth_levels(const Dag& dag);
 
+/// The transitive reduction: the same tasks (weights and names kept) and
+/// only the edges u -> v for which no other path u -> ... -> v exists, each
+/// task's in the order `dag` lists them. Reachability sets are bitsets
+/// built in reverse topological order; a task's successors are visited in
+/// topological order, so an edge is dropped exactly when an earlier
+/// successor already reaches its head. kInvalidArgument if the graph has a
+/// cycle.
+common::Result<Dag> transitive_reduction(const Dag& dag);
+
 /// True iff the dag is a single linear chain T0 -> T1 -> ... (in some order).
 bool is_chain(const Dag& dag);
 

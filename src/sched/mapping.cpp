@@ -20,6 +20,12 @@ void Mapping::assign(TaskId t, int processor) {
 }
 
 common::Status Mapping::validate(const Dag& dag) const {
+  if (auto st = validate_assignment(dag); !st.is_ok()) return st;
+  if (!graph::is_acyclic(augmented_graph(dag))) return orders_contradict_precedence();
+  return common::Status::ok();
+}
+
+common::Status Mapping::validate_assignment(const Dag& dag) const {
   if (dag.num_tasks() != num_tasks()) {
     return common::Status::invalid("mapping sized for a different task count");
   }
@@ -28,10 +34,11 @@ common::Status Mapping::validate(const Dag& dag) const {
       return common::Status::invalid("task " + std::to_string(t) + " is unassigned");
     }
   }
-  if (!graph::is_acyclic(augmented_graph(dag))) {
-    return common::Status::invalid("processor orders contradict the precedence constraints");
-  }
   return common::Status::ok();
+}
+
+common::Status Mapping::orders_contradict_precedence() {
+  return common::Status::invalid("processor orders contradict the precedence constraints");
 }
 
 Dag Mapping::augmented_graph(const Dag& dag) const {

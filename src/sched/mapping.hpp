@@ -45,6 +45,14 @@ class Mapping {
   /// contradict the precedence constraints is invalid).
   common::Status validate(const Dag& dag) const;
 
+  /// validate() without the acyclicity check, for a caller that builds
+  /// the augmented graph anyway and sorts it topologically itself; it
+  /// reports a cycle there with orders_contradict_precedence().
+  common::Status validate_assignment(const Dag& dag) const;
+
+  /// validate()'s status when the augmented graph has a cycle.
+  static common::Status orders_contradict_precedence();
+
   /// The augmented precedence graph: `dag` plus an edge between
   /// consecutive tasks of every processor order. Weights are preserved.
   Dag augmented_graph(const Dag& dag) const;

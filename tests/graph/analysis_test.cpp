@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "sched/list_scheduler.hpp"
 
 namespace easched::graph {
 namespace {
@@ -140,6 +143,107 @@ TEST(StructurePredicates, Join) {
   EXPECT_TRUE(is_join(make_join({1.0, 2.0, 3.0})));
   EXPECT_FALSE(is_join(make_fork({1.0, 2.0, 3.0})));
   EXPECT_FALSE(is_join(diamond()));
+}
+
+// Brute force: u -> v is in the reduction iff dropping that one edge
+// leaves no path from u to v.
+bool reaches_without(const Dag& d, TaskId from, TaskId to, TaskId skip_u, TaskId skip_v) {
+  std::vector<char> seen(static_cast<std::size_t>(d.num_tasks()), 0);
+  std::vector<TaskId> stack{from};
+  while (!stack.empty()) {
+    const TaskId u = stack.back();
+    stack.pop_back();
+    for (TaskId v : d.successors(u)) {
+      if ((u == skip_u && v == skip_v) || seen[static_cast<std::size_t>(v)]) continue;
+      if (v == to) return true;
+      seen[static_cast<std::size_t>(v)] = 1;
+      stack.push_back(v);
+    }
+  }
+  return false;
+}
+
+void expect_reduction(const Dag& d, const std::string& label) {
+  auto r = transitive_reduction(d);
+  ASSERT_TRUE(r.is_ok()) << label;
+  const Dag& red = r.value();
+  ASSERT_EQ(red.num_tasks(), d.num_tasks()) << label;
+  int kept = 0;
+  for (TaskId u = 0; u < d.num_tasks(); ++u) {
+    EXPECT_EQ(red.weight(u), d.weight(u)) << label;
+    EXPECT_EQ(red.name(u), d.name(u)) << label;
+    std::vector<TaskId> expected;
+    for (TaskId v : d.successors(u)) {
+      if (!reaches_without(d, u, v, u, v)) expected.push_back(v);
+    }
+    EXPECT_EQ(red.successors(u), expected) << label << " task " << u;
+    kept += static_cast<int>(expected.size());
+  }
+  EXPECT_EQ(red.num_edges(), kept) << label;
+}
+
+TEST(TransitiveReduction, DropsTheDiamondsShortcut) {
+  Dag d = diamond();
+  d.add_edge(0, 3);  // implied by 0 -> 1 -> 3
+  auto r = transitive_reduction(d);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value().num_edges(), 4);
+  EXPECT_FALSE(r.value().has_edge(0, 3));
+  expect_reduction(d, "diamond");
+}
+
+TEST(TransitiveReduction, RejectsACycle) {
+  Dag d;
+  d.add_task(1.0);
+  d.add_task(1.0);
+  d.add_edge(0, 1);
+  d.add_edge(1, 0);
+  EXPECT_EQ(transitive_reduction(d).status().code(), common::StatusCode::kInvalidArgument);
+}
+
+TEST(TransitiveReduction, KeepsEveryEdgeOfChainsForksAndJoins) {
+  common::Rng rng(11);
+  EXPECT_EQ(transitive_reduction(Dag{}).value().num_tasks(), 0);
+  for (int n : {3, 7, 20}) {
+    const auto w = random_weights(n, {1.0, 4.0}, rng);
+    for (const Dag& d : {make_chain(w), make_fork(w), make_join(w), make_fork_join(w)}) {
+      auto r = transitive_reduction(d);
+      ASSERT_TRUE(r.is_ok());
+      EXPECT_EQ(r.value().num_edges(), d.num_edges()) << "n=" << n;
+      expect_reduction(d, "n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(TransitiveReduction, MatchesBruteForceOnLayeredAndRandomDags) {
+  common::Rng rng(12);
+  for (int trial = 0; trial < 8; ++trial) {
+    expect_reduction(make_layered(4, 5, 0.5, {1.0, 4.0}, rng),
+                     "layered " + std::to_string(trial));
+    expect_reduction(make_random_dag(30, 0.2, {1.0, 4.0}, rng),
+                     "random " + std::to_string(trial));
+  }
+  // More than 64 tasks: reachability rows span several words.
+  expect_reduction(make_random_dag(150, 0.05, {1.0, 4.0}, rng), "random 150");
+}
+
+// Augmented graphs: processor-order edges that repeat a DAG edge, or that
+// a DAG path already implies, must go like any other implied edge.
+TEST(TransitiveReduction, MatchesBruteForceOnAugmentedGraphs) {
+  common::Rng rng(13);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto dag = make_random_dag(40, 0.15, {1.0, 4.0}, rng);
+    for (int procs : {1, 3}) {
+      const auto mapping = sched::list_schedule(dag, procs, sched::PriorityPolicy::kCriticalPath);
+      const Dag aug = mapping.augmented_graph(dag);
+      expect_reduction(aug, "aug " + std::to_string(trial) + " on " + std::to_string(procs));
+      // One processor: the order is a topological order, so the
+      // reduction is that chain.
+      if (procs == 1) {
+        EXPECT_EQ(transitive_reduction(aug).value().num_edges(), 39);
+      }
+    }
+  }
 }
 
 }  // namespace
