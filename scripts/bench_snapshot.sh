@@ -184,8 +184,8 @@ if ipm_runs:
     snapshot["continuous_ipm"] = {
         size: {
             "ms": statistics.median(ipm_field(size, "real_time")),
-            "rows": ipm_field(size, "rows")[0],
-            "newton_steps": ipm_field(size, "newton_steps")[0],
+            "rows": int(ipm_field(size, "rows")[0]),
+            "newton_steps": int(ipm_field(size, "newton_steps")[0]),
         }
         for size in sizes
     }

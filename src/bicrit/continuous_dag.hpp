@@ -23,9 +23,8 @@
 // path u -> w -> ... -> v covers follows from that path's rows, a
 // non-sink's deadline row from a path to a sink, and a non-source's
 // s >= 0 from a path from a source. The feasible set, hence the optimum,
-// is the spelled program's. Only the
-
-// per-task coefficients and bounds differ between problems:
+// is the spelled program's. Only the per-task coefficients and bounds
+// differ between problems:
 //   * BI-CRIT (solve_continuous): c_i = w_i^3, [w_i/fmax, w_i/fmin];
 //   * the TRI-CRIT polish with a fixed re-execution set
 //     (tricrit::continuous_with_modes): c_i = (k w_i)^3 and
@@ -68,8 +67,9 @@ struct ContinuousSolution {
   std::vector<double> durations;    ///< optimal d_i
   std::vector<double> start_times;  ///< feasible start times s_i
   /// The barrier's m/t bound on energy - optimum (0 for boundary cases),
-  /// m the rows solve_durations emits. It holds for the barrier's exact
-  /// central path; nothing checks it against a dual point yet.
+  /// m the rows solve_durations emits, t where the spelled program would
+  /// stop. It holds for the barrier's exact central path; nothing checks
+  /// it against a dual point yet.
   double gap_bound = 0.0;
   int newton_steps = 0;
 };

@@ -124,7 +124,8 @@ common::Result<Dag> transitive_reduction(const Dag& dag) {
   // one bit per task, `words` 64-bit words a row.
   const std::size_t words = (un + 63) / 64;
   std::vector<std::uint64_t> reach(un * words, 0);
-  std::vector<std::vector<TaskId>> kept(un);  // reduced successors, in dag's order
+  Dag out;
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) out.add_task(dag.weight(t), dag.name(t));
   std::vector<char> direct(un, 0);
   std::vector<TaskId> by_position;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -144,16 +145,10 @@ common::Result<Dag> transitive_reduction(const Dag& dag) {
       const std::uint64_t* from = reach.data() + vu * words;
       for (std::size_t w = 0; w < words; ++w) row[w] |= from[w];
     }
-    for (TaskId v : succ) {
-      if (direct[static_cast<std::size_t>(v)]) kept[u].push_back(v);
+    for (TaskId v : succ) {  // kept edges go in dag's order
+      if (direct[static_cast<std::size_t>(v)]) out.add_edge(*it, v);
       direct[static_cast<std::size_t>(v)] = 0;
     }
-  }
-
-  Dag out;
-  for (TaskId t = 0; t < dag.num_tasks(); ++t) out.add_task(dag.weight(t), dag.name(t));
-  for (TaskId u = 0; u < dag.num_tasks(); ++u) {
-    for (TaskId v : kept[static_cast<std::size_t>(u)]) out.add_edge(u, v);
   }
   return out;
 }

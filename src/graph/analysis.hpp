@@ -40,7 +40,7 @@ std::vector<int> depth_levels(const Dag& dag);
 
 /// The transitive reduction: the same tasks (weights and names kept) and
 /// only the edges u -> v for which no other path u -> ... -> v exists, each
-/// task's in the order `dag` lists them. Reachability sets are bitsets
+/// task's successors in the order `dag` lists them. Reachability sets are bitsets
 /// built in reverse topological order; a task's successors are visited in
 /// topological order, so an edge is dropped exactly when an earlier
 /// successor already reaches its head. kInvalidArgument if the graph has a

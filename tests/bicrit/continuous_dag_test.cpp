@@ -191,6 +191,26 @@ TEST(ContinuousDag, RejectsZeroWeights) {
   EXPECT_FALSE(solve_continuous(dag, mapping, 1.0, SpeedModel::continuous(0.1, 1.0)).is_ok());
 }
 
+// The acyclicity check runs on the augmented graph solve_durations sorts,
+// not in Mapping::validate; the status must be validate's all the same.
+TEST(ContinuousDag, RejectsAnInvalidMappingAsValidateDoes) {
+  const auto dag = graph::make_chain({1.0, 2.0, 3.0});  // 0 -> 1 -> 2
+  const auto speeds = SpeedModel::continuous(0.1, 1.0);
+  sched::Mapping reversed(1, 3);
+  reversed.assign(2, 0);  // runs first but depends on 1
+  reversed.assign(1, 0);
+  reversed.assign(0, 0);
+  sched::Mapping unassigned(2, 3);
+  unassigned.assign(0, 0);
+  for (const auto* m : {&reversed, &unassigned}) {
+    const auto expected = m->validate(dag);
+    ASSERT_FALSE(expected.is_ok());
+    const auto r = solve_continuous(dag, *m, 100.0, speeds);
+    EXPECT_EQ(r.status().code(), expected.code());
+    EXPECT_EQ(r.status().message(), expected.message());
+  }
+}
+
 TEST(ContinuousDag, RejectsDiscreteModel) {
   const auto dag = graph::make_chain({1.0});
   const auto mapping = sched::Mapping::single_processor(dag, {0});
