@@ -76,8 +76,8 @@ namespace {
 /// chunks claimed) no-ops safely even though the caller returned.
 struct ParallelRegion {
   std::size_t n = 0;
-  const std::function<void(std::size_t)>* body = nullptr;  ///< valid while
-                                                           ///< chunks remain
+  std::size_t grain = 1;  ///< iterations per claimed chunk
+  const std::function<void(std::size_t)>* body = nullptr;  ///< valid while chunks remain
   std::atomic<std::size_t> next{0};
   Mutex mutex;
   CondVar done_cv;
@@ -88,11 +88,10 @@ struct ParallelRegion {
   /// even when the body throws (only the first exception is kept), so the
   /// caller's completion wait can never hang on a failed region.
   void drain() {
-    constexpr std::size_t kGrain = 16;
     for (;;) {
-      const std::size_t begin = next.fetch_add(kGrain);
+      const std::size_t begin = next.fetch_add(grain);
       if (begin >= n) return;
-      const std::size_t end = std::min(begin + kGrain, n);
+      const std::size_t end = std::min(begin + grain, n);
       std::exception_ptr caught;
       for (std::size_t i = begin; i < end; ++i) {
         try {
@@ -122,10 +121,12 @@ void WorkerPool::parallel(std::size_t n, const std::function<void(std::size_t)>&
   auto region = std::make_shared<ParallelRegion>();
   region->n = n;
   region->body = &body;
+  region->grain = std::max<std::size_t>(1, n / (4 * size()));
   // Idle workers join through max-priority helpers: sub-work of a running
   // job always beats queued jobs, so a job's internal fan-out never
-  // inverts with lower-priority whole jobs behind it.
-  const std::size_t helpers = std::min(size(), (n - 1) / 16 + 1);
+  // inverts with lower-priority whole jobs behind it. The caller drains
+  // one chunk itself, so at most chunks - 1 = (n - 1) / grain helpers.
+  const std::size_t helpers = std::min(size(), (n - 1) / region->grain);
   for (std::size_t h = 0; h < helpers; ++h) {
     submit([region] { region->drain(); }, std::numeric_limits<int>::max());
   }

@@ -37,12 +37,9 @@ std::size_t default_thread_count() noexcept;
 ///    runs earlier; within a priority, FIFO. Tasks never run concurrently
 ///    with themselves and there is no result plumbing here — callers
 ///    (engine::JobHandle) layer their own completion state on top.
-///  * parallel(n, body) — a blocking data-parallel region, callable both
-///    from outside the pool and from *inside* a running task. The calling
-///    thread participates in executing the iterations (claiming chunks
-///    exactly like the pool helpers do), so nested use can never deadlock
-///    even on a single-threaded pool, and idle workers join in through
-///    max-priority helper tasks.
+///  * parallel(n, body) — a blocking data-parallel region, callable from
+///    outside the pool and from *inside* a running task. The caller runs
+///    chunks too, so nested use cannot deadlock even on a one-thread pool.
 ///
 /// Exceptions thrown by a submitted task are swallowed after being routed
 /// to the task's own catch scope (submit wraps nothing — the caller's fn
@@ -79,12 +76,14 @@ class WorkerPool {
   void submit(std::function<void()> fn, int priority = 0) EASCHED_EXCLUDES(mutex_);
 
   /// Runs body(i) for i in [0, n), returning when all iterations finished.
-  /// The caller executes iterations itself while idle pool workers help;
-  /// results are independent of who ran what (body must be safe for
-  /// concurrent distinct i). On a one-thread pool, or with n == 1, the
-  /// iterations run inline on the caller in index order. The first
-  /// exception a body throws is rethrown here after every iteration
-  /// completed.
+  /// Indices are claimed in contiguous chunks of max(1, n / (4 * size()));
+  /// the caller claims chunks itself, and min(size(), chunks - 1)
+  /// max-priority helper tasks let idle workers claim the rest. Chunking
+  /// decides only which thread runs an index and when, never a result
+  /// (body must be safe for concurrent distinct i). On a one-thread pool,
+  /// or with n == 1, the iterations run inline on the caller in index
+  /// order. The first exception a body throws is rethrown here after
+  /// every iteration completed.
   void parallel(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:

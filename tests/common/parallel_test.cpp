@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -175,6 +176,80 @@ TEST(WorkerPool, ParallelPropagatesTheFirstException) {
     pool.parallel(10, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 10) << threads;
   }
+}
+
+TEST(WorkerPool, SmallRegionRunsOnEveryWorker) {
+  // Each body waits until all four iterations have started, which only
+  // happens if the four indices land on four threads at once. A region
+  // that drained in one chunk would time out, not hang. Run from the test
+  // thread and from inside a job (the engine's sweep shape: the calling
+  // worker plus three helpers).
+  WorkerPool pool(4);
+  auto four_at_once = [&pool] {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int started = 0;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    std::atomic<int> met{0};
+    pool.parallel(4, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++started;
+      cv.notify_all();
+      if (cv.wait_until(lock, deadline, [&] { return started == 4; })) met.fetch_add(1);
+    });
+    return met.load();
+  };
+  EXPECT_EQ(four_at_once(), 4) << "from the test thread";
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  int from_job = -1;
+  pool.submit([&] {
+    const int met = four_at_once();
+    std::lock_guard<std::mutex> lock(mutex);
+    from_job = met;
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mutex);
+  cv.wait(lock, [&] { return from_job >= 0; });
+  EXPECT_EQ(from_job, 4) << "from inside a job";
+}
+
+TEST(WorkerPool, BackToBackSmallRegionsFromAJob) {
+  // At grain 1 most helpers fire after their region finished and the
+  // caller returned; they must find it still alive and fully claimed.
+  // Under TSan this is where a lifetime error in the region would show.
+  WorkerPool pool(4);
+  constexpr int kRegions = 2000;
+  std::atomic<bool> finished{false};
+  std::atomic<int> bad_counts{0}, thrown{0}, rethrown{0};
+  pool.submit([&] {
+    for (int r = 0; r < kRegions; ++r) {
+      const std::size_t n = 2 + static_cast<std::size_t>(r) % 8;  // 2..9
+      std::vector<std::atomic<int>> counts(n);
+      const bool throws = r % 97 == 0;
+      if (throws) thrown.fetch_add(1);
+      try {
+        pool.parallel(n, [&](std::size_t i) {
+          counts[i].fetch_add(1);
+          if (throws && i == n - 1) throw std::runtime_error("boom");
+        });
+      } catch (const std::runtime_error&) {
+        rethrown.fetch_add(1);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (counts[i].load() != 1) bad_counts.fetch_add(1);
+      }
+    }
+    finished.store(true);
+  });
+  while (!finished.load()) std::this_thread::yield();
+  EXPECT_EQ(bad_counts.load(), 0);
+  EXPECT_EQ(rethrown.load(), thrown.load());
+  // The pool still serves after every throwing region.
+  std::atomic<int> ran{0};
+  pool.parallel(9, [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 9);
 }
 
 }  // namespace
